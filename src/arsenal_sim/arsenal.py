@@ -34,6 +34,20 @@ NEXT_LINE = "next_line"
 TEST_CASE_1 = "tc1"
 TEST_CASE_2 = "tc2"
 
+COMPONENT_CLASSES = {
+    TSKID: TskidPrefetcher,
+    MLOP: MlopPrefetcher,
+    SPP: SppPrefetcher,
+    IP_STRIDE: IpStridePrefetcher,
+    NEXT_LINE: NextLinePrefetcher,
+}
+
+# roster order fixes each component's filter seed index
+ROSTERS = {
+    TEST_CASE_1: (TSKID, MLOP),
+    TEST_CASE_2: (SPP, IP_STRIDE, NEXT_LINE),
+}
+
 SCORE_MAX = 2047        # 11-bit saturating score
 PREFETCH_COUNTER_MAX = 4095  # 12-bit saturating attempt counter
 
@@ -113,23 +127,12 @@ def select_test_case_2(scores: dict, min_score: int = 0,
 def build_components(policy: str, component_params: dict | None = None,
                      max_line: int = DEFAULT_MAX_LINE) -> dict:
     """Instantiate the component roster for a selection policy."""
+    if policy not in ROSTERS:
+        raise ValueError(f"unknown selection policy: {policy!r}")
     params = component_params or {}
-
-    def kw(name):
-        return dict(params.get(name, {}), max_line=max_line)
-
-    if policy == TEST_CASE_1:
-        return {
-            TSKID: TskidPrefetcher(**kw(TSKID)),
-            MLOP: MlopPrefetcher(**kw(MLOP)),
-        }
-    if policy == TEST_CASE_2:
-        return {
-            SPP: SppPrefetcher(**kw(SPP)),
-            IP_STRIDE: IpStridePrefetcher(**kw(IP_STRIDE)),
-            NEXT_LINE: NextLinePrefetcher(**kw(NEXT_LINE)),
-        }
-    raise ValueError(f"unknown selection policy: {policy!r}")
+    return {name: COMPONENT_CLASSES[name](**dict(params.get(name, {}),
+                                                 max_line=max_line))
+            for name in ROSTERS[policy]}
 
 
 class Arsenal:
@@ -153,6 +156,10 @@ class Arsenal:
         }
         # per component: [eval_counter, prefetch_counter, score]
         self.scoreboard = {name: [0, 0, 0] for name in self.names}
+        # (name, component, filter, scoreboard row), in roster order; the
+        # rows are the scoreboard's own lists, so both views stay in step
+        self._rows = [(name, components[name], self.filters[name],
+                       self.scoreboard[name]) for name in self.names]
         self.selection = Selection(None, 0, 0)
         self.selection_timeline: list[dict] = []
         self.total_candidates = {name: 0 for name in self.names}
@@ -162,25 +169,28 @@ class Arsenal:
 
     def score_demand(self, line: int, _record: dict | None = None) -> dict[str, int]:
         """Score the demanded line against every filter; returns the deltas."""
-        cfg = self.config
+        inc = self.config.score_inc
+        dec = self.config.score_dec
         deltas = {}
-        for name in self.names:
-            f = self.filters[name]
+        for name, _, f, sb in self._rows:
             result = f.query(line)
             if _record is not None:
                 _record[name] = (result, getattr(f, "last_query_was_fp", False))
-            sb = self.scoreboard[name]
             before = sb[2]
             if result:
-                sb[2] = min(SCORE_MAX, before + cfg.score_inc)
+                after = before + inc
+                if after > SCORE_MAX:
+                    after = SCORE_MAX
             else:
-                sb[2] = max(0, before - cfg.score_dec)
-            deltas[name] = sb[2] - before
+                after = before - dec
+                if after < 0:
+                    after = 0
+            sb[2] = after
+            deltas[name] = after - before
         return deltas
 
     def on_pae(self, ctx: PaeContext) -> list[PrefetchRequest]:
-        cfg = self.config
-        scoreboard = self.scoreboard
+        eval_cap = self.config.eval_cnt
         log_entry = None
         if self.record_log:
             log_entry = {"seq": ctx.seq, "line": ctx.line,
@@ -190,43 +200,43 @@ class Arsenal:
             self.score_demand(ctx.line)
 
         selected = self.selection.chosen
-        filters = self.filters
+        totals = self.total_candidates
         live: list[int] = []
-        eval_cap = cfg.eval_cnt
-        for name in self.names:
-            candidates = self.components[name].on_pae(ctx)
-            sb = scoreboard[name]
+        for name, component, f, sb in self._rows:
+            candidates = component.on_pae(ctx)
             if sb[0] < eval_cap:
                 sb[0] += 1
             if candidates:
                 n = len(candidates)
-                self.total_candidates[name] += n
-                sb[1] = min(PREFETCH_COUNTER_MAX, sb[1] + n)
-                f = filters[name]
+                totals[name] += n
+                n += sb[1]
+                sb[1] = n if n < PREFETCH_COUNTER_MAX else PREFETCH_COUNTER_MAX
+                insert = f.insert
                 for c in candidates:
-                    f.insert(c)
+                    insert(c)
                 if name == selected:
                     live = candidates
             if log_entry is not None:
                 log_entry["candidates"][name] = tuple(candidates)
 
-        out = [PrefetchRequest(line, selected, ctx.seq) for line in live]
+        seq = ctx.seq
+        out = [PrefetchRequest(line, selected, seq) for line in live]
 
         self._paes_since_reset += 1
-        if self._paes_since_reset >= cfg.eval_cnt:
-            self._decide(ctx.seq)
+        if self._paes_since_reset >= eval_cap:
+            self._decide(seq)
             if log_entry is not None:
                 log_entry["decision"] = self.selection.chosen
         if log_entry is not None:
-            log_entry["scores"] = {n: scoreboard[n][2] for n in self.names}
+            log_entry["scores"] = self.scores()
             self.pae_log.append(log_entry)
         return out
 
     def _decide(self, decided_at: int) -> None:
         cfg = self.config
-        scores = {n: self.scoreboard[n][2] for n in self.names}
-        counters = {n: self.scoreboard[n][1] for n in self.names}
-        evals = {n: self.scoreboard[n][0] for n in self.names}
+        scores = self.scores()
+        counters = {name: sb[1] for name, _, _, sb in self._rows}
+        evals = {name: sb[0] for name, _, _, sb in self._rows}
         if cfg.selection_policy == TEST_CASE_1:
             chosen = select_test_case_1(scores, counters, self.selection.chosen,
                                         cfg.tskid_selection_attempt)
@@ -250,15 +260,13 @@ class Arsenal:
         nl = self.components.get(NEXT_LINE)
         if nl is not None:
             nl.set_degree(self.scoreboard[NEXT_LINE][2])
-        for name in self.names:
-            self.scoreboard[name][0] = 0
-            self.scoreboard[name][1] = 0
-            self.scoreboard[name][2] = 0
-            self.filters[name].clear()
+        for _, _, f, sb in self._rows:
+            sb[:] = (0, 0, 0)
+            f.clear()
         self._paes_since_reset = 0
 
     def scores(self) -> dict[str, int]:
-        return {n: self.scoreboard[n][2] for n in self.names}
+        return {name: sb[2] for name, _, _, sb in self._rows}
 
     def describe(self) -> dict:
         cfg = self.config

@@ -65,12 +65,19 @@ class BloomFilter:
     Bit i of element x is (h1(x) + i*h2(x)) mod m for two seeded 64-bit
     hashes. No false negatives; false positives at roughly the target rate
     once the filter holds its projected capacity.
+
+    The bit table is held as the set of its set-bit positions: an insert is
+    a set union and a query a superset test, which answer exactly as the
+    m-bit table would, false positives included. ``bits`` rebuilds the
+    packed table on demand. Each element's k positions are memoised as a
+    tuple, because the shadow streams re-insert the same sliding window of
+    lines many times per phase; ``clear`` empties the memo with the table,
+    so the memo lives for one selection phase and its size is bounded by
+    the distinct elements seen in that phase.
     """
 
-    __slots__ = ("params", "bits", "inserted_count",
-                 "_m", "_k", "_seed_a", "_seed_b", "_pos_cache")
-
-    _POS_CACHE_LIMIT = 1 << 17
+    __slots__ = ("params", "inserted_count", "_m", "_k", "_seed_a", "_seed_b",
+                 "_set_bits", "_positions")
 
     def __init__(self, capacity: int = 2000, fpp: float = 0.01, seed: int = 0,
                  params: BloomParams | None = None):
@@ -81,40 +88,49 @@ class BloomFilter:
         self._k = params.hash_count
         self._seed_a = params.seed
         self._seed_b = _mix64(params.seed ^ _GOLDEN)
-        self.bits = bytearray(params.bit_table_bytes)
+        self._set_bits: set[int] = set()
         self.inserted_count = 0
-        # positions are a pure function of (element, params); memoized because
-        # shadow streams re-insert the same sliding window of lines constantly
-        self._pos_cache: dict[int, list[int]] = {}
+        self._positions: dict[int, tuple[int, ...]] = {}
 
-    def _positions(self, element: int) -> list[int]:
-        pos = self._pos_cache.get(element)
-        if pos is None:
-            h1 = _mix64(element ^ self._seed_a)
-            h2 = _mix64(element ^ self._seed_b) | 1
-            m = self._m
-            pos = [(h1 + i * h2) % m for i in range(self._k)]
-            if len(self._pos_cache) >= self._POS_CACHE_LIMIT:
-                self._pos_cache.clear()
-            self._pos_cache[element] = pos
+    @property
+    def bits(self) -> bytearray:
+        """The m-bit table, bit p at byte p >> 3, bit p & 7 (a fresh copy)."""
+        table = bytearray(self.params.bit_table_bytes)
+        for p in self._set_bits:
+            table[p >> 3] |= 1 << (p & 7)
+        return table
+
+    def _hash(self, element: int) -> tuple[int, ...]:
+        # _mix64 of element ^ seed_a and of element ^ seed_b, inlined
+        x = (element ^ self._seed_a) & _MASK64
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+        h1 = x ^ (x >> 31)
+        x = (element ^ self._seed_b) & _MASK64
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+        h2 = (x ^ (x >> 31)) | 1
+        # (h1 + i*h2) mod m, with h1 and h2 reduced first so that the
+        # progression runs on small ints; the positions are the same
+        m = self._m
+        a = h1 % m
+        b = h2 % m
+        pos = tuple([(a + i * b) % m for i in range(self._k)])
+        self._positions[element] = pos
         return pos
 
     def insert(self, element: int) -> None:
-        bits = self.bits
-        for p in self._positions(element):
-            bits[p >> 3] |= 1 << (p & 7)
+        self._set_bits.update(self._positions.get(element) or self._hash(element))
         self.inserted_count += 1
 
     def query(self, element: int) -> bool:
-        bits = self.bits
-        for p in self._positions(element):
-            if not bits[p >> 3] & (1 << (p & 7)):
-                return False
-        return True
+        return self._set_bits.issuperset(
+            self._positions.get(element) or self._hash(element))
 
     def clear(self) -> None:
         """Reset to the freshly-constructed state (same params and seed)."""
-        self.bits = bytearray(len(self.bits))
+        self._set_bits.clear()
+        self._positions.clear()
         self.inserted_count = 0
 
 

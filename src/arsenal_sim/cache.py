@@ -18,8 +18,6 @@ PREFETCH_HIT = "prefetch_hit"
 LATE_PREFETCH_HIT = "late_prefetch_hit"
 MISS = "miss"
 
-OUTCOME_KINDS = (HIT, PREFETCH_HIT, LATE_PREFETCH_HIT, MISS)
-
 
 class AccessEvent(NamedTuple):
     pc: int
@@ -58,6 +56,10 @@ class CacheConfig:
     prefetch_queue_capacity: int = 16
 
     def validate(self) -> "CacheConfig":
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"cache field {name} must be an integer, got {value!r}")
         if not _is_pow2(self.sets):
             raise ValueError("sets must be a power of two")
         if not _is_pow2(self.line_size):
@@ -87,7 +89,9 @@ class SetAssociativeCache:
 
     Line state per set: line -> [prefetched_flag, lru_stamp, source].
     The LRU stamp is an internal monotone touch counter so that stamps stay
-    distinct even when several prefetch fills land on the same tick.
+    distinct even when several prefetch fills land on the same tick. Each
+    set dict is kept in ascending stamp order (a touch re-inserts its line
+    at the end), so the least recently used line is the first key.
     """
 
     def __init__(self, config: CacheConfig):
@@ -138,8 +142,7 @@ class SetAssociativeCache:
     def _install(self, line: int, prefetched: bool, source, stamp: int) -> None:
         lines = self._sets[line & self._set_mask]
         if len(lines) >= self._ways and line not in lines:
-            victim = min(lines, key=lambda l: lines[l][1])
-            state = lines.pop(victim)
+            state = lines.pop(next(iter(lines)))
             self.evictions += 1
             if state[0]:
                 self.evicted_unused_prefetches += 1
@@ -153,8 +156,9 @@ class SetAssociativeCache:
         line = event.addr >> self._shift
         lines = self._sets[line & self._set_mask]
         self._stamp = stamp = self._stamp + 1
-        entry = lines.get(line)
+        entry = lines.pop(line, None)
         if entry is not None:
+            lines[line] = entry
             entry[1] = stamp
             if entry[0]:
                 # a prefetched line yields exactly one prefetch hit

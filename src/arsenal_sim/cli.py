@@ -17,6 +17,7 @@ from .harness import (
     cache_config_from_dict,
     compare_engines,
     experiment_from_dict,
+    reject_unknown,
     run_experiment,
 )
 from .metrics import emit_report, overhead, overhead_for_test_case, COMPONENT_COSTS_KB
@@ -93,9 +94,7 @@ _COMPARE_FIELDS = {"policy", "traces", "cache", "arsenal", "component_params",
 
 def cmd_compare(args) -> int:
     data = _load_config(args.config)
-    unknown = set(data) - _COMPARE_FIELDS
-    if unknown:
-        raise ValueError(f"unknown compare fields: {sorted(unknown)}")
+    reject_unknown("compare", data, _COMPARE_FIELDS)
     if "traces" not in data:
         raise ValueError("compare configuration requires a traces list")
     seed = args.seed if args.seed is not None else int(data.get("seed", 0))

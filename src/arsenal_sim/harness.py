@@ -8,10 +8,12 @@ classification and, on a PAE, the engine; accepted requests enter the
 cache's prefetch queue tagged with their source component.
 """
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .arsenal import (
+    COMPONENT_CLASSES,
     IP_STRIDE,
     MLOP,
     NEXT_LINE,
@@ -25,14 +27,7 @@ from .arsenal import (
 )
 from .cache import AccessEvent, CacheConfig, SetAssociativeCache, amat
 from .metrics import compute_metrics, overhead_for_test_case
-from .prefetchers import (
-    IpStridePrefetcher,
-    MlopPrefetcher,
-    NextLinePrefetcher,
-    PaeContext,
-    SppPrefetcher,
-    TskidPrefetcher,
-)
+from .prefetchers import PaeContext
 from .traces import PatternSpec, generate, parse_trace_file
 
 ENGINE_NONE = "none"
@@ -88,19 +83,28 @@ class StandaloneEngine:
 def _standalone_component(key: str, params: dict, max_line: int):
     kw = dict(params.get(key, {}))
     kw.setdefault("max_line", max_line)
+    # fixed standalone aggressiveness; a lower next-line max_degree caps it
     if key == NEXT_LINE:
-        kw.setdefault("degree", 5)  # fixed standalone aggressiveness
-        return NextLinePrefetcher(**kw)
-    if key == IP_STRIDE:
+        kw.setdefault("degree", min(5, kw.get("max_degree", 5)))
+    elif key == IP_STRIDE:
         kw.setdefault("degree", 8)
-        return IpStridePrefetcher(**kw)
-    if key == SPP:
-        return SppPrefetcher(**kw)
-    if key == MLOP:
-        return MlopPrefetcher(**kw)
-    if key == TSKID:
-        return TskidPrefetcher(**kw)
-    raise ValueError(f"unknown component: {key!r}")
+    return COMPONENT_CLASSES[key](**kw)
+
+
+def reject_unknown(what: str, data: dict, known) -> None:
+    """Raise ValueError naming every key of ``data`` not in ``known``."""
+    unknown = set(data) - set(known)
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+
+
+def _check_component_params(params: dict) -> None:
+    reject_unknown("component_params", params, COMPONENT_CLASSES)
+    for name, kw in params.items():
+        if not isinstance(kw, dict):
+            raise ValueError(f"component_params.{name} must be an object")
+        reject_unknown(f"component_params.{name}", kw,
+                       inspect.signature(COMPONENT_CLASSES[name]).parameters)
 
 
 @dataclass
@@ -125,6 +129,9 @@ class ExperimentConfig:
         self.cache.validate()
         if self.pattern is not None:
             self.pattern.validate()
+        reject_unknown("arsenal", self.arsenal, ArsenalConfig.__dataclass_fields__)
+        _check_component_params(self.component_params)
+        _check_component_params(self.arsenal.get("component_params") or {})
         return self
 
     def events(self) -> Iterable[AccessEvent]:
@@ -144,10 +151,7 @@ class ExperimentConfig:
 def cache_config_from_dict(data: dict | None) -> CacheConfig:
     if not data:
         return CacheConfig()
-    known = set(CacheConfig.__dataclass_fields__)
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(f"unknown cache fields: {sorted(unknown)}")
+    reject_unknown("cache", data, CacheConfig.__dataclass_fields__)
     return CacheConfig(**data).validate()
 
 
@@ -161,9 +165,7 @@ def experiment_from_dict(data: dict) -> ExperimentConfig:
 
     ``out`` and ``format`` are report-sink hints consumed by the CLI.
     """
-    unknown = set(data) - _EXPERIMENT_FIELDS
-    if unknown:
-        raise ValueError(f"unknown experiment fields: {sorted(unknown)}")
+    reject_unknown("experiment", data, _EXPERIMENT_FIELDS)
     pattern = data.get("pattern")
     return ExperimentConfig(
         engine=data.get("engine", ENGINE_NONE),

@@ -16,6 +16,8 @@ from typing import NamedTuple
 
 DEFAULT_MAX_LINE = (1 << 58) - 1  # 64-bit byte addresses, 64-byte lines
 
+_UNSET = object()
+
 
 class PaeContext(NamedTuple):
     pc: int
@@ -69,22 +71,25 @@ class IpStridePrefetcher:
 
     def __init__(self, table_size: int = 64, degree: int = 8,
                  max_line: int = DEFAULT_MAX_LINE):
+        if table_size < 1:
+            raise ValueError("table_size must be >= 1")
         self.table_size = table_size
         self.degree = degree
         self.max_line = max_line
-        # pc -> [last_line, stride, confidence, lru_stamp]
+        # pc -> [last_line, stride, confidence, lru_stamp], in stamp order
         self.table: dict[int, list] = {}
         self._stamp = 0
 
     def on_pae(self, ctx: PaeContext) -> list[int]:
         self._stamp += 1
-        entry = self.table.get(ctx.pc)
+        table = self.table
+        entry = table.pop(ctx.pc, None)
         if entry is None:
-            if len(self.table) >= self.table_size:
-                victim = min(self.table, key=lambda pc: self.table[pc][3])
-                del self.table[victim]
-            self.table[ctx.pc] = [ctx.line, 0, 0, self._stamp]
+            if len(table) >= self.table_size:
+                del table[next(iter(table))]
+            table[ctx.pc] = [ctx.line, 0, 0, self._stamp]
             return []
+        table[ctx.pc] = entry
         delta = ctx.line - entry[0]
         _train_stride(entry, delta)
         entry[0] = ctx.line
@@ -130,6 +135,8 @@ class SppPrefetcher:
                  ghr_entries: int = 8, lookahead_depth: int = 8,
                  confidence_threshold: float = 0.25,
                  page_lines: int = 64, max_line: int = DEFAULT_MAX_LINE):
+        if st_entries < 1:
+            raise ValueError("st_entries must be >= 1")
         self.st_entries = st_entries
         self.pt_entries = pt_entries
         self.pt_slots = pt_slots
@@ -139,10 +146,13 @@ class SppPrefetcher:
         self.confidence_threshold = confidence_threshold
         self.page_lines = page_lines
         self.max_line = max_line
-        # page -> [signature, last_offset, lru_stamp]
+        # page -> [signature, last_offset, lru_stamp], in stamp order
         self.signature_table: dict[int, list] = {}
         # pt index -> [c_sig, slots]; slot = [delta, c_delta]
         self.pattern_table: dict[int, list] = {}
+        # pt index -> what _best_slot returns for it; _train drops the entry
+        # it changes
+        self._best: dict[int, tuple | None] = {}
         # ring of [signature, path_confidence, last_offset, delta]
         self.ghr: list[list] = []
         self._stamp = 0
@@ -155,6 +165,7 @@ class SppPrefetcher:
 
     def _train(self, sig: int, delta: int) -> None:
         idx = sig % self.pt_entries
+        self._best.pop(idx, None)
         entry = self.pattern_table.get(idx)
         if entry is None:
             entry = [0, []]
@@ -178,12 +189,20 @@ class SppPrefetcher:
             slots[weakest] = [delta, 1]
 
     def _best_slot(self, sig: int):
-        entry = self.pattern_table.get(sig % self.pt_entries)
+        idx = sig % self.pt_entries
+        found = self._best.get(idx, _UNSET)
+        if found is not _UNSET:
+            return found
+        entry = self.pattern_table.get(idx)
         if entry is None or entry[0] == 0 or not entry[1]:
-            return None
-        # deterministic: max confidence, then smallest |delta|, then positive
-        best = max(entry[1], key=lambda s: (s[1], -abs(s[0]), s[0] > 0))
-        return best[0], best[1], entry[0]
+            found = None
+        else:
+            # deterministic: max confidence, then smallest |delta|, then
+            # positive; deltas in an entry are distinct, so keys never tie
+            best = max(entry[1], key=lambda s: (s[1], -abs(s[0]), s[0] > 0))
+            found = best[0], best[1], entry[0]
+        self._best[idx] = found
+        return found
 
     def _ghr_bootstrap(self, offset: int) -> int | None:
         page_lines = self.page_lines
@@ -205,15 +224,15 @@ class SppPrefetcher:
         page_lines = self.page_lines
         page, offset = divmod(ctx.line, page_lines)
         st = self.signature_table
-        entry = st.get(page)
+        entry = st.pop(page, None)
         if entry is None:
             boot = self._ghr_bootstrap(offset)
             if len(st) >= self.st_entries:
-                victim = min(st, key=lambda p: st[p][2])
-                del st[victim]
+                del st[next(iter(st))]
             sig = boot if boot is not None else 0
             st[page] = [sig, offset, self._stamp]
         else:
+            st[page] = entry
             delta = offset - entry[1]
             sig = entry[0]
             if delta != 0 and abs(delta) < page_lines:
@@ -273,6 +292,8 @@ class MlopPrefetcher:
     def __init__(self, zones: int = 64, levels: int = 8, max_offset: int = 16,
                  round_paes: int = 256, score_threshold: int = 16,
                  zone_lines: int = 64, max_line: int = DEFAULT_MAX_LINE):
+        if zones < 1:
+            raise ValueError("zones must be >= 1")
         self.zones = zones
         self.levels = levels
         self.max_offset = max_offset
@@ -280,7 +301,7 @@ class MlopPrefetcher:
         self.score_threshold = score_threshold
         self.zone_lines = zone_lines
         self.max_line = max_line
-        # zone -> [bitmap, stamps, lru_stamp]
+        # zone -> [bitmap, stamps, lru_stamp], in stamp order
         self.zone_table: dict[int, list] = {}
         # preference order for ties: 1, -1, 2, -2, ...
         self._offsets = [o for mag in range(1, max_offset + 1) for o in (mag, -mag)]
@@ -311,15 +332,14 @@ class MlopPrefetcher:
         zone_lines = self.zone_lines
         zone, x = divmod(ctx.line, zone_lines)
         table = self.zone_table
-        entry = table.get(zone)
+        entry = table.pop(zone, None)
         if entry is None:
             if len(table) >= self.zones:
-                victim = min(table, key=lambda z: table[z][2])
-                del table[victim]
+                del table[next(iter(table))]
             entry = [0, [0] * zone_lines, now]
-            table[zone] = entry
         else:
             entry[2] = now
+        table[zone] = entry
         bitmap, stamps = entry[0], entry[1]
         levels = self.levels
         scores = self.scores
@@ -362,11 +382,14 @@ class TskidPrefetcher:
     def __init__(self, table_size: int = 64, lead: int = 4,
                  verification_expiry: int = 1024,
                  max_line: int = DEFAULT_MAX_LINE):
+        if table_size < 1:
+            raise ValueError("table_size must be >= 1")
         self.table_size = table_size
         self.lead = lead
         self.verification_expiry = verification_expiry
         self.max_line = max_line
-        # pc -> [last_line, delta, confidence, use_distance, lru_stamp]
+        # pc -> [last_line, delta, confidence, use_distance, lru_stamp],
+        # in stamp order
         self.table: dict[int, list] = {}
         self._stamp = 0
         self._delay_queue: list[tuple[int, int, int]] = []  # (release_seq, tie, line)
@@ -408,13 +431,14 @@ class TskidPrefetcher:
             owner = self.table.get(pc)
             if owner is not None:
                 owner[3] = now - trigger_seq
-        entry = self.table.get(ctx.pc)
+        table = self.table
+        entry = table.pop(ctx.pc, None)
         if entry is None:
-            if len(self.table) >= self.table_size:
-                victim = min(self.table, key=lambda pc: self.table[pc][4])
-                del self.table[victim]
-            self.table[ctx.pc] = [ctx.line, 0, 0, 0, self._stamp]
+            if len(table) >= self.table_size:
+                del table[next(iter(table))]
+            table[ctx.pc] = [ctx.line, 0, 0, 0, self._stamp]
             return out
+        table[ctx.pc] = entry
         delta = ctx.line - entry[0]
         _train_stride(entry, delta)
         entry[0] = ctx.line

@@ -95,6 +95,43 @@ class TestRun:
         assert run_cli("run", "--config", str(cfg)) == 1
         assert "unknown experiment fields" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fields,message", [
+        ({"cache": {"sets": "64"}}, "cache field sets must be an integer"),
+        ({"arsenal": {"eval_cnt": 64, "evalcnt": 64}},
+         "unknown arsenal fields: ['evalcnt']"),
+        ({"component_params": {"spp": {"depth": 3}}},
+         "unknown component_params.spp fields: ['depth']"),
+        ({"component_params": {"ip-stride": {"degree": 2}}},
+         "unknown component_params fields: ['ip-stride']"),
+    ])
+    def test_malformed_config_is_one_error_line(self, tmp_path, capsys,
+                                                fields, message):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({
+            "engine": "arsenal-tc2",
+            "pattern": {"kind": "sequential"},
+            "length": 50,
+            **fields,
+        }))
+        assert run_cli("run", "--config", str(cfg)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("arsenal-sim: error:")
+        assert message in err[0]
+
+    def test_standalone_next_line_below_default_degree(self, tmp_path):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({
+            "engine": "next-line",
+            "pattern": {"kind": "sequential"},
+            "length": 500,
+            "component_params": {"next_line": {"max_degree": 3}},
+        }))
+        out = tmp_path / "r.json"
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == 0
+        report = json.loads(out.read_text())
+        assert report["experiment"]["engine_detail"]["degree"] == 3
+
     def test_malformed_trace_fails_nonzero(self, tmp_path, capsys):
         trace = tmp_path / "bad.trace"
         trace.write_text("0x400 nonsense R\n")

@@ -1,0 +1,173 @@
+"""Property tests: the hot-path data structures behave as the plain ones.
+
+Each fast path is checked against a straightforward reference over random
+inputs: the set-backed Bloom filter against a bytearray bit table, the
+dict-order LRU tables against ascending stamp order, and SPP's memoised
+best slot against a fresh ``max`` over the pattern-table entry.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from arsenal_sim.bloom import _GOLDEN, BloomFilter, BloomParams, _mix64
+from arsenal_sim.cache import AccessEvent, CacheConfig, SetAssociativeCache
+from arsenal_sim.prefetchers import (
+    IpStridePrefetcher,
+    MlopPrefetcher,
+    PaeContext,
+    SppPrefetcher,
+    TskidPrefetcher,
+)
+
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+class ReferenceBloom:
+    """The bytearray bit table with positions recomputed on every call."""
+
+    def __init__(self, capacity: int, fpp: float, seed: int):
+        params = BloomParams.create(capacity, fpp, seed)
+        self.m = params.bit_table_size
+        self.k = params.hash_count
+        self.seed_a = params.seed
+        self.seed_b = _mix64(params.seed ^ _GOLDEN)
+        self.bits = bytearray(params.bit_table_bytes)
+        self.inserted_count = 0
+
+    def _positions(self, element: int) -> list[int]:
+        h1 = _mix64(element ^ self.seed_a)
+        h2 = _mix64(element ^ self.seed_b) | 1
+        return [(h1 + i * h2) % self.m for i in range(self.k)]
+
+    def insert(self, element: int) -> None:
+        for p in self._positions(element):
+            self.bits[p >> 3] |= 1 << (p & 7)
+        self.inserted_count += 1
+
+    def query(self, element: int) -> bool:
+        return all(self.bits[p >> 3] & (1 << (p & 7))
+                   for p in self._positions(element))
+
+    def clear(self) -> None:
+        self.bits = bytearray(len(self.bits))
+        self.inserted_count = 0
+
+
+# a small pool makes repeats (memo hits) and, in small filters, false
+# positives common; the wide range covers arbitrary 64-bit line numbers
+elements = st.one_of(st.integers(0, 300), st.integers(-(1 << 63), (1 << 64) - 1))
+bloom_ops = st.lists(st.one_of(
+    st.tuples(st.just("insert"), elements),
+    st.tuples(st.just("query"), elements),
+    st.tuples(st.just("clear"), st.just(0)),
+), max_size=300)
+
+
+@PROPERTY
+@given(capacity=st.integers(1, 400), fpp=st.floats(0.001, 0.6),
+       seed=st.integers(0, (1 << 64) - 1), ops=bloom_ops)
+def test_bloom_matches_bytearray_reference(capacity, fpp, seed, ops):
+    fast = BloomFilter(capacity, fpp, seed)
+    ref = ReferenceBloom(capacity, fpp, seed)
+    for op, x in ops:
+        if op == "insert":
+            fast.insert(x)
+            ref.insert(x)
+        elif op == "query":
+            assert fast.query(x) == ref.query(x)
+        else:
+            fast.clear()
+            ref.clear()
+            assert bytes(fast.bits) == bytes(ref.bits)
+    assert bytes(fast.bits) == bytes(ref.bits)
+    assert fast.inserted_count == ref.inserted_count
+    probes = [x for _, x in ops] + list(range(1000, 1300))
+    assert [fast.query(x) for x in probes] == [ref.query(x) for x in probes]
+
+
+def assert_stamp_order(table: dict, stamp_index: int) -> None:
+    stamps = [entry[stamp_index] for entry in table.values()]
+    assert stamps == sorted(stamps)
+    assert len(set(stamps)) == len(stamps)
+
+
+cache_ops = st.lists(st.tuples(
+    st.integers(0, 200),       # line
+    st.booleans(),             # also enqueue a prefetch of a nearby line
+    st.integers(-3, 3)), min_size=1, max_size=400)
+
+
+@PROPERTY
+@given(sets=st.sampled_from([1, 2, 4]), ways=st.integers(1, 4),
+       delay=st.integers(0, 6), ops=cache_ops)
+def test_cache_sets_stay_in_stamp_order(sets, ways, delay, ops):
+    cache = SetAssociativeCache(CacheConfig(
+        sets=sets, ways=ways, prefetch_fill_delay=delay, prefetch_queue_capacity=4))
+    for seq, (line, prefetch, offset) in enumerate(ops):
+        cache.fill_due(seq)
+        for lines in cache._sets:
+            assert_stamp_order(lines, 1)
+        cache.access(AccessEvent(0x400, line << 6, False, seq))
+        if prefetch and line + offset >= 0:
+            cache.enqueue_prefetch(line + offset, "spp", seq)
+        for lines in cache._sets:
+            assert_stamp_order(lines, 1)
+            assert len(lines) <= ways
+
+
+pae_stream = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 400)),
+                      min_size=1, max_size=300)
+
+
+def contexts(stream):
+    return [PaeContext(0x400 + 8 * pc, line, seq, "miss")
+            for seq, (pc, line) in enumerate(stream)]
+
+
+@PROPERTY
+@given(size=st.integers(1, 5), stream=pae_stream)
+def test_prefetcher_tables_stay_in_stamp_order(size, stream):
+    tables = [
+        (IpStridePrefetcher(table_size=size), "table", 3),
+        (SppPrefetcher(st_entries=size, page_lines=16), "signature_table", 2),
+        (MlopPrefetcher(zones=size, zone_lines=16, round_paes=16), "zone_table", 2),
+        (TskidPrefetcher(table_size=size), "table", 4),
+    ]
+    for ctx in contexts(stream):
+        for component, attr, stamp_index in tables:
+            component.on_pae(ctx)
+            table = getattr(component, attr)
+            assert_stamp_order(table, stamp_index)
+            assert len(table) <= size
+
+
+def fresh_best_slot(spp: SppPrefetcher, sig: int):
+    entry = spp.pattern_table.get(sig % spp.pt_entries)
+    if entry is None or entry[0] == 0 or not entry[1]:
+        return None
+    best = max(entry[1], key=lambda s: (s[1], -abs(s[0]), s[0] > 0))
+    return best[0], best[1], entry[0]
+
+
+class UnmemoisedSpp(SppPrefetcher):
+    def _best_slot(self, sig: int):
+        return fresh_best_slot(self, sig)
+
+
+@PROPERTY
+@given(pt_entries=st.integers(1, 16), pt_slots=st.integers(1, 4),
+       counter_max=st.integers(1, 15), stream=pae_stream)
+def test_spp_best_slot_memo_matches_fresh_max(pt_entries, pt_slots, counter_max,
+                                              stream):
+    kw = dict(pt_entries=pt_entries, pt_slots=pt_slots, counter_max=counter_max,
+              page_lines=32, confidence_threshold=0.1)
+    spp = SppPrefetcher(**kw)
+    ref = UnmemoisedSpp(**kw)
+    for ctx in contexts(stream):
+        assert spp.on_pae(ctx) == ref.on_pae(ctx)
+        for idx, memo in spp._best.items():
+            assert memo == fresh_best_slot(spp, idx)
+        for sig in range(pt_entries):
+            assert spp._best_slot(sig) == fresh_best_slot(spp, sig)
+    assert spp.pattern_table == ref.pattern_table
+    assert spp.max_chain_depth == ref.max_chain_depth
