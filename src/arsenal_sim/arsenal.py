@@ -34,15 +34,25 @@ NEXT_LINE = "next_line"
 TEST_CASE_1 = "tc1"
 TEST_CASE_2 = "tc2"
 
-COMPONENT_CLASSES = {
-    TSKID: TskidPrefetcher,
-    MLOP: MlopPrefetcher,
-    SPP: SppPrefetcher,
-    IP_STRIDE: IpStridePrefetcher,
-    NEXT_LINE: NextLinePrefetcher,
+
+class Component(NamedTuple):
+    """What the simulator knows about one component prefetcher."""
+    cls: type
+    cost_kb: float                           # storage budget (KiB) quoted from its source
+    standalone_degree: Optional[int] = None  # fixed degree when run standalone
+
+
+# The one registry: a new component is one entry here plus a roster edit.
+# Entry order is the order of the standalone engines.
+COMPONENTS = {
+    SPP: Component(SppPrefetcher, 5.73),
+    IP_STRIDE: Component(IpStridePrefetcher, 5.47, standalone_degree=8),
+    NEXT_LINE: Component(NextLinePrefetcher, 0.0, standalone_degree=5),
+    MLOP: Component(MlopPrefetcher, 12.0),
+    TSKID: Component(TskidPrefetcher, 52.5),
 }
 
-# roster order fixes each component's filter seed index
+# policy -> roster; roster order fixes each component's filter seed index
 ROSTERS = {
     TEST_CASE_1: (TSKID, MLOP),
     TEST_CASE_2: (SPP, IP_STRIDE, NEXT_LINE),
@@ -81,7 +91,7 @@ class ArsenalConfig:
     component_params: dict = field(default_factory=dict)
 
     def validate(self) -> "ArsenalConfig":
-        if self.selection_policy not in (TEST_CASE_1, TEST_CASE_2):
+        if self.selection_policy not in ROSTERS:
             raise ValueError(f"unknown selection policy: {self.selection_policy!r}")
         if self.filter_kind not in ("bloom", "exact", "paired"):
             raise ValueError(f"unknown filter kind: {self.filter_kind!r}")
@@ -124,14 +134,24 @@ def select_test_case_2(scores: dict, min_score: int = 0,
     return None
 
 
+def build_component(name: str, params: dict, max_line: int = DEFAULT_MAX_LINE,
+                    standalone: bool = False):
+    """Instantiate one component; standalone, at its fixed degree unless
+    ``params`` sets one, capped by a lower ``max_degree``."""
+    entry = COMPONENTS[name]
+    kw = dict(params.get(name, {}), max_line=max_line)
+    degree = entry.standalone_degree
+    if standalone and degree is not None:
+        kw.setdefault("degree", min(degree, kw.get("max_degree", degree)))
+    return entry.cls(**kw)
+
+
 def build_components(policy: str, component_params: dict | None = None,
                      max_line: int = DEFAULT_MAX_LINE) -> dict:
     """Instantiate the component roster for a selection policy."""
     if policy not in ROSTERS:
         raise ValueError(f"unknown selection policy: {policy!r}")
-    params = component_params or {}
-    return {name: COMPONENT_CLASSES[name](**dict(params.get(name, {}),
-                                                 max_line=max_line))
+    return {name: build_component(name, component_params or {}, max_line)
             for name in ROSTERS[policy]}
 
 

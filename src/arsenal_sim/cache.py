@@ -126,14 +126,8 @@ class SetAssociativeCache:
         self.useful_by_source: dict[str, int] = {}
         self.filled_by_source: dict[str, int] = {}
 
-    def line_of(self, addr: int) -> int:
-        return addr >> self._shift
-
     def is_resident(self, line: int) -> bool:
         return line in self._sets[line & self._set_mask]
-
-    def in_flight(self, line: int) -> bool:
-        return line in self._inflight
 
     @property
     def in_flight_count(self) -> int:

@@ -20,7 +20,8 @@ from .harness import (
     reject_unknown,
     run_experiment,
 )
-from .metrics import emit_report, overhead, overhead_for_test_case, COMPONENT_COSTS_KB
+from .arsenal import ROSTERS
+from .metrics import emit_report, overhead, overhead_for_test_case
 from .traces import PatternSpec, generate, write_trace
 
 
@@ -160,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.set_defaults(func=cmd_compare)
 
     ovh = sub.add_parser("overhead", help="print hardware-overhead accounting")
-    ovh.add_argument("--test-case", choices=tuple(COMPONENT_COSTS_KB),
+    ovh.add_argument("--test-case", choices=tuple(ROSTERS),
                      help="use a predefined component roster and its costs")
     ovh.add_argument("--components", type=int, default=1,
                      help="component count when no test case is given")

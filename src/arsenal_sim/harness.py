@@ -9,44 +9,36 @@ cache's prefetch queue tagged with their source component.
 """
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from itertools import islice
 from typing import Iterable, Optional
 
 from .arsenal import (
-    COMPONENT_CLASSES,
-    IP_STRIDE,
-    MLOP,
-    NEXT_LINE,
-    SPP,
-    TEST_CASE_1,
+    COMPONENTS,
+    ROSTERS,
     TEST_CASE_2,
-    TSKID,
     Arsenal,
     ArsenalConfig,
     PrefetchRequest,
+    build_component,
 )
 from .cache import AccessEvent, CacheConfig, SetAssociativeCache, amat
 from .metrics import compute_metrics, overhead_for_test_case
 from .prefetchers import PaeContext
-from .traces import PatternSpec, generate, parse_trace_file
+from .traces import PatternSpec, generate, stream_trace_file
 
 ENGINE_NONE = "none"
-ENGINE_ARSENAL_TC1 = "arsenal-tc1"
-ENGINE_ARSENAL_TC2 = "arsenal-tc2"
+ARSENAL_PREFIX = "arsenal-"
 
-# standalone engines run one component with fixed aggressiveness
-STANDALONE_COMPONENTS = {
-    "spp": SPP,
-    "ip-stride": IP_STRIDE,
-    "next-line": NEXT_LINE,
-    "mlop": MLOP,
-    "tskid": TSKID,
-}
-
-ENGINE_NAMES = (ENGINE_ARSENAL_TC1, ENGINE_ARSENAL_TC2,
-                *STANDALONE_COMPONENTS, ENGINE_NONE)
+# a standalone engine is named after its component: ip_stride -> ip-stride
+ENGINE_NAMES = (*(ARSENAL_PREFIX + policy for policy in ROSTERS),
+                *(name.replace("_", "-") for name in COMPONENTS), ENGINE_NONE)
 
 DEFAULT_LENGTH = 1_000_000  # thousands of selection phases at desk scale
+
+# Events each simulation runs before the next takes its turn in a shared
+# pass; stepping them all per event keeps no engine's tables warm.
+SLICE_EVENTS = 256
 
 
 class NoPrefetchEngine:
@@ -80,31 +72,32 @@ class StandaloneEngine:
         return detail
 
 
-def _standalone_component(key: str, params: dict, max_line: int):
-    kw = dict(params.get(key, {}))
-    kw.setdefault("max_line", max_line)
-    # fixed standalone aggressiveness; a lower next-line max_degree caps it
-    if key == NEXT_LINE:
-        kw.setdefault("degree", min(5, kw.get("max_degree", 5)))
-    elif key == IP_STRIDE:
-        kw.setdefault("degree", 8)
-    return COMPONENT_CLASSES[key](**kw)
-
-
-def reject_unknown(what: str, data: dict, known) -> None:
-    """Raise ValueError naming every key of ``data`` not in ``known``."""
+def reject_unknown(what: str, data, known) -> None:
+    """Raise ValueError unless ``data`` is an object whose keys are all known."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be an object")
     unknown = set(data) - set(known)
     if unknown:
         raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
 
 
-def _check_component_params(params: dict) -> None:
-    reject_unknown("component_params", params, COMPONENT_CLASSES)
+def check_fields(what: str, data, defaults: dict) -> None:
+    """Reject unknown keys and values not of their default's type (an int
+    passes for a float; a bool never passes for an int)."""
+    reject_unknown(what, data, defaults)
+    for key, value in data.items():
+        expected = type(defaults[key])
+        if type(value) is not expected and (expected, type(value)) != (float, int):
+            raise ValueError(f"{what} field {key} must be {expected.__name__}, "
+                             f"got {value!r}")
+
+
+def _check_component_params(params) -> None:
+    reject_unknown("component_params", params, COMPONENTS)
     for name, kw in params.items():
-        if not isinstance(kw, dict):
-            raise ValueError(f"component_params.{name} must be an object")
-        reject_unknown(f"component_params.{name}", kw,
-                       inspect.signature(COMPONENT_CLASSES[name]).parameters)
+        defaults = {key: p.default for key, p in
+                    inspect.signature(COMPONENTS[name].cls).parameters.items()}
+        check_fields(f"component_params.{name}", kw, defaults)
 
 
 @dataclass
@@ -129,14 +122,15 @@ class ExperimentConfig:
         self.cache.validate()
         if self.pattern is not None:
             self.pattern.validate()
-        reject_unknown("arsenal", self.arsenal, ArsenalConfig.__dataclass_fields__)
+        check_fields("arsenal", self.arsenal, vars(ArsenalConfig()))
         _check_component_params(self.component_params)
-        _check_component_params(self.arsenal.get("component_params") or {})
+        _check_component_params(self.arsenal.get("component_params", {}))
         return self
 
     def events(self) -> Iterable[AccessEvent]:
+        """One pass over the trace; a trace file is read as it is consumed."""
         if self.trace_file is not None:
-            return parse_trace_file(self.trace_file)
+            return stream_trace_file(self.trace_file)
         spec = self.pattern
         if spec.seed == 0 and self.seed:
             spec = PatternSpec.from_dict({**spec.to_dict(), "seed": self.seed})
@@ -173,26 +167,26 @@ def experiment_from_dict(data: dict) -> ExperimentConfig:
         pattern=PatternSpec.from_dict(pattern) if pattern is not None else None,
         length=int(data.get("length", DEFAULT_LENGTH)),
         cache=cache_config_from_dict(data.get("cache")),
-        arsenal=dict(data.get("arsenal", {})),
-        component_params=dict(data.get("component_params", {})),
+        arsenal=data.get("arsenal", {}),
+        component_params=data.get("component_params", {}),
         seed=int(data.get("seed", 0)),
         label=data.get("label", ""),
     ).validate()
 
 
 def build_engine(cfg: ExperimentConfig, record_log: bool = False):
-    max_line = cfg.cache.max_line
+    """The engine ``cfg.engine`` names: none, arsenal-<policy> or a component."""
     if cfg.engine == ENGINE_NONE:
         return NoPrefetchEngine()
-    if cfg.engine in (ENGINE_ARSENAL_TC1, ENGINE_ARSENAL_TC2):
-        policy = TEST_CASE_1 if cfg.engine == ENGINE_ARSENAL_TC1 else TEST_CASE_2
-        kw = dict(cfg.arsenal)
-        kw["selection_policy"] = policy
-        kw.setdefault("master_seed", cfg.seed if cfg.seed else ArsenalConfig.master_seed)
+    max_line = cfg.cache.max_line
+    if cfg.engine.startswith(ARSENAL_PREFIX):
+        kw = dict(cfg.arsenal, selection_policy=cfg.engine[len(ARSENAL_PREFIX):])
+        kw.setdefault("master_seed", cfg.seed or ArsenalConfig.master_seed)
         kw.setdefault("component_params", cfg.component_params)
         return Arsenal(ArsenalConfig(**kw), max_line=max_line, record_log=record_log)
-    key = STANDALONE_COMPONENTS[cfg.engine]
-    return StandaloneEngine(key, _standalone_component(key, cfg.component_params, max_line))
+    name = cfg.engine.replace("-", "_")
+    return StandaloneEngine(name, build_component(
+        name, cfg.component_params, max_line, standalone=True))
 
 
 class Simulation:
@@ -232,51 +226,52 @@ class Simulation:
             step(event)
 
 
+def run_in_one_pass(sims: list[Simulation], events: Iterable[AccessEvent]) -> None:
+    """Drive every simulation over one pass of ``events``, one slice of
+    SLICE_EVENTS at a time: each simulation runs a slice in turn."""
+    it = iter(events)
+    chunk = list(islice(it, SLICE_EVENTS))
+    if not chunk:
+        raise ValueError("trace produced no accesses")
+    while chunk:
+        for sim in sims:
+            sim.run(chunk)
+        chunk = list(islice(it, SLICE_EVENTS))
+
+
 def run_experiment(cfg: ExperimentConfig, baseline_amat: Optional[float] = None,
                    record_log: bool = False) -> dict:
     """Run one experiment and assemble its report.
 
-    When no baseline AMAT is supplied and the engine prefetches, the same
-    trace is re-run under the no-prefetch engine to obtain it, so the
-    speedup proxy always compares identical code paths.
+    When no baseline AMAT is supplied and the engine prefetches, a
+    no-prefetch simulation of the same trace runs in the same pass to
+    obtain it, so the speedup proxy always compares identical code paths.
     """
     cfg.validate()
     engine = build_engine(cfg, record_log=record_log)
     sim = Simulation(cfg.cache, engine)
-    sim.run(cfg.events())
+    sims = [sim]
+    if baseline_amat is None and cfg.engine != ENGINE_NONE:
+        sims.append(Simulation(cfg.cache, NoPrefetchEngine()))
+    run_in_one_pass(sims, cfg.events())
+    if len(sims) > 1:
+        baseline_amat = amat(sims[1].cache.demand_counts(), cfg.cache)
+
     cache = sim.cache
-
     demand = cache.demand_counts()
-    if demand["total"] == 0:
-        raise ValueError("trace produced no accesses")
-    own_amat = amat(demand, cfg.cache)
-    if baseline_amat is None:
-        if cfg.engine == ENGINE_NONE:
-            baseline_amat = own_amat
-        else:
-            base_cfg = ExperimentConfig(
-                engine=ENGINE_NONE, trace_file=cfg.trace_file, pattern=cfg.pattern,
-                length=cfg.length, cache=cfg.cache, seed=cfg.seed)
-            base_sim = Simulation(cfg.cache, NoPrefetchEngine())
-            base_sim.run(base_cfg.events())
-            baseline_amat = amat(base_sim.cache.demand_counts(), cfg.cache)
-
     prefetch = cache.prefetch_counts()
     useful = dict(cache.useful_by_source)
     metrics = compute_metrics(demand, prefetch, cfg.cache, baseline_amat)
 
-    components = sorted(
-        set(sim.issued_by_source) | set(useful) | set(cache.filled_by_source)
-        | set(getattr(engine, "total_candidates", {})))
-    per_component = {}
-    for name in components:
-        per_component[name] = {
-            "shadow_candidates": getattr(engine, "total_candidates", {}).get(name, 0),
-            "issued": sim.issued_by_source.get(name, 0),
-            "accepted": sim.accepted_by_source.get(name, 0),
-            "filled": cache.filled_by_source.get(name, 0),
-            "useful": useful.get(name, 0),
-        }
+    shadow = getattr(engine, "total_candidates", {})
+    names = set(sim.issued_by_source) | set(useful) | set(cache.filled_by_source)
+    per_component = {name: {
+        "shadow_candidates": shadow.get(name, 0),
+        "issued": sim.issued_by_source.get(name, 0),
+        "accepted": sim.accepted_by_source.get(name, 0),
+        "filled": cache.filled_by_source.get(name, 0),
+        "useful": useful.get(name, 0),
+    } for name in sorted(names | set(shadow))}
 
     report = {
         "schema": "arsenal-sim-report-v1",
@@ -285,16 +280,7 @@ def run_experiment(cfg: ExperimentConfig, baseline_amat: Optional[float] = None,
             "engine": cfg.engine,
             "seed": cfg.seed,
             "trace": cfg.trace_summary(),
-            "cache": {
-                "sets": cfg.cache.sets,
-                "ways": cfg.cache.ways,
-                "line_size": cfg.cache.line_size,
-                "hit_latency": cfg.cache.hit_latency,
-                "miss_latency": cfg.cache.miss_latency,
-                "late_latency": cfg.cache.late_latency,
-                "prefetch_fill_delay": cfg.cache.prefetch_fill_delay,
-                "prefetch_queue_capacity": cfg.cache.prefetch_queue_capacity,
-            },
+            "cache": asdict(cfg.cache),
             "engine_detail": engine.describe(),
         },
         "demand": demand,
@@ -303,10 +289,10 @@ def run_experiment(cfg: ExperimentConfig, baseline_amat: Optional[float] = None,
         "metrics": metrics,
         "selection_timeline": list(getattr(engine, "selection_timeline", [])),
     }
-    if cfg.engine in (ENGINE_ARSENAL_TC1, ENGINE_ARSENAL_TC2):
-        policy = TEST_CASE_1 if cfg.engine == ENGINE_ARSENAL_TC1 else TEST_CASE_2
+    if isinstance(engine, Arsenal):
         report["overhead"] = overhead_for_test_case(
-            policy, engine.config.bf_est_cap, engine.config.bf_fpp)
+            engine.config.selection_policy, engine.config.bf_est_cap,
+            engine.config.bf_fpp)
     if record_log and hasattr(engine, "pae_log"):
         report["pae_log_length"] = len(engine.pae_log)
     return report
@@ -317,62 +303,49 @@ def compare_engines(traces: list[dict], policy: str = TEST_CASE_2,
                     arsenal: Optional[dict] = None,
                     component_params: Optional[dict] = None,
                     seed: int = 0) -> dict:
-    """Run the meta-prefetcher, each standalone component, and the baseline
-    over a trace list; report per-trace speedups plus a best-per-trace
-    oracle picked among the standalone components.
+    """Run the meta-prefetcher, each standalone component of its roster, and
+    the baseline over each trace in one pass; report per-trace speedups plus
+    a best-per-trace oracle picked among the standalone components.
     """
-    if policy == TEST_CASE_1:
-        arsenal_engine = ENGINE_ARSENAL_TC1
-        standalone = ["tskid", "mlop"]
-    elif policy == TEST_CASE_2:
-        arsenal_engine = ENGINE_ARSENAL_TC2
-        standalone = ["spp", "ip-stride", "next-line"]
-    else:
+    if policy not in ROSTERS:
         raise ValueError(f"unknown selection policy: {policy!r}")
+    standalone = [name.replace("_", "-") for name in ROSTERS[policy]]
+    engines = [ENGINE_NONE, *standalone, ARSENAL_PREFIX + policy]
     cache = cache or CacheConfig()
-    engines = [ENGINE_NONE, *standalone, arsenal_engine]
 
     per_trace = []
-    sums = {name: 0.0 for name in engines}
-    sums["oracle"] = 0.0
     for index, trace in enumerate(traces):
         label = trace.get("label", f"trace-{index}")
-        pattern = (PatternSpec.from_dict(trace["pattern"])
-                   if "pattern" in trace else None)
+        pattern = trace.get("pattern")
+        cfg = ExperimentConfig(
+            trace_file=trace.get("file"),
+            pattern=PatternSpec.from_dict(pattern) if pattern is not None else None,
+            length=int(trace.get("length", DEFAULT_LENGTH)),
+            cache=cache,
+            arsenal=arsenal or {},
+            component_params=component_params or {},
+            seed=seed,
+        ).validate()
+        sims = [Simulation(cache, build_engine(replace(cfg, engine=engine)))
+                for engine in engines]
+        run_in_one_pass(sims, cfg.events())
         results = {}
-        baseline = None
-        for engine in engines:
-            cfg = ExperimentConfig(
-                engine=engine,
-                trace_file=trace.get("file"),
-                pattern=pattern,
-                length=int(trace.get("length", DEFAULT_LENGTH)),
-                cache=cache,
-                arsenal=dict(arsenal or {}),
-                component_params=dict(component_params or {}),
-                seed=seed,
-                label=f"{label}/{engine}",
-            )
-            report = run_experiment(cfg, baseline_amat=baseline)
-            if engine == ENGINE_NONE:
-                baseline = report["metrics"]["amat"]
-            results[engine] = {
-                "amat": report["metrics"]["amat"],
-                "speedup_proxy": report["metrics"]["speedup_proxy"],
-                "coverage": report["metrics"]["coverage"],
-                "accuracy": report["metrics"]["accuracy"],
-            }
-        oracle_engine = max(standalone,
-                            key=lambda e: results[e]["speedup_proxy"])
+        baseline = None  # the first engine, none, sets it
+        for engine, sim in zip(engines, sims):
+            metrics = compute_metrics(sim.cache.demand_counts(),
+                                      sim.cache.prefetch_counts(), cache, baseline)
+            baseline = metrics["baseline_amat"]
+            results[engine] = {key: metrics[key] for key in
+                               ("amat", "speedup_proxy", "coverage", "accuracy")}
+        oracle_engine = max(standalone, key=lambda e: results[e]["speedup_proxy"])
         oracle = {"engine": oracle_engine,
                   "speedup_proxy": results[oracle_engine]["speedup_proxy"]}
-        for name in engines:
-            sums[name] += results[name]["speedup_proxy"]
-        sums["oracle"] += oracle["speedup_proxy"]
         per_trace.append({"label": label, "results": results, "oracle": oracle})
 
     n = max(1, len(traces))
-    summary = {name: sums[name] / n for name in [*engines, "oracle"]}
+    summary = {name: sum(t["results"][name]["speedup_proxy"] for t in per_trace) / n
+               for name in engines}
+    summary["oracle"] = sum(t["oracle"]["speedup_proxy"] for t in per_trace) / n
     return {
         "schema": "arsenal-sim-compare-v1",
         "policy": policy,

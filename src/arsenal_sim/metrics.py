@@ -4,10 +4,14 @@ import csv
 import io
 import json
 
+from .arsenal import COMPONENTS, ROSTERS
 from .bloom import derive_parameters
 from .cache import CacheConfig, amat
 
-# per-component framework counter widths (bits)
+# per-component framework counter widths (bits). The evaluation counter is
+# charged 9 bits although the default eval_cnt is 512: the 9-bit counter's
+# carry-out on the 512th PAE fires the decision, so 512 is never stored.
+# The selection timeline's eval_counters show the saturated count instead.
 EVAL_COUNTER_BITS = 9
 PREFETCH_COUNTER_BITS = 12
 SCORE_BITS = 11
@@ -26,12 +30,6 @@ SALT_TABLE_BITS = 135 * 32
 THRESHOLDS_KB_PER_COMPONENT = 0.1
 
 KB = 1024.0
-
-# component storage budgets (KiB) quoted from the source implementations
-COMPONENT_COSTS_KB = {
-    "tc1": {"tskid": 52.5, "mlop": 12.0},
-    "tc2": {"spp": 5.73, "ip_stride": 5.47, "next_line": 0.0},
-}
 
 RUN_CSV_COLUMNS = [
     "label", "engine", "trace", "seed",
@@ -144,9 +142,9 @@ def overhead(n_components: int, bloom_capacity: int = 2000,
 
 def overhead_for_test_case(policy: str, bloom_capacity: int = 2000,
                            bloom_fpp: float = 0.01) -> dict:
-    costs = COMPONENT_COSTS_KB.get(policy)
-    if costs is None:
+    if policy not in ROSTERS:
         raise ValueError(f"unknown test case: {policy!r}")
+    costs = {name: COMPONENTS[name].cost_kb for name in ROSTERS[policy]}
     report = overhead(len(costs), bloom_capacity, bloom_fpp, costs)
     report["policy"] = policy
     return report

@@ -44,6 +44,9 @@ def parse_trace(stream: Iterable[str]) -> Iterator[AccessEvent]:
             addr = int(parts[1], 16)
         except ValueError:
             raise TraceParseError(line_number, f"bad hex field in {line!r}") from None
+        if (pc | addr) >> 64:  # nonzero when either is negative or >= 2**64
+            raise TraceParseError(line_number,
+                                  f"PC or ADDR outside [0, 2**64) in {line!r}")
         op = parts[2].upper()
         if op not in ("R", "W"):
             raise TraceParseError(line_number, f"op must be R or W, got {parts[2]!r}")
@@ -51,9 +54,14 @@ def parse_trace(stream: Iterable[str]) -> Iterator[AccessEvent]:
         seq += 1
 
 
-def parse_trace_file(path: str) -> list[AccessEvent]:
+def stream_trace_file(path: str) -> Iterator[AccessEvent]:
+    """Yield a trace file's events, reading it as they are consumed."""
     with open(path, "r", encoding="utf-8") as fh:
-        return list(parse_trace(fh))
+        yield from parse_trace(fh)
+
+
+def parse_trace_file(path: str) -> list[AccessEvent]:
+    return list(stream_trace_file(path))
 
 
 def write_trace(events: Iterable[AccessEvent], sink) -> int:

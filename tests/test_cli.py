@@ -103,6 +103,17 @@ class TestRun:
          "unknown component_params.spp fields: ['depth']"),
         ({"component_params": {"ip-stride": {"degree": 2}}},
          "unknown component_params fields: ['ip-stride']"),
+        ({"arsenal": {"eval_cnt": "512"}},
+         "arsenal field eval_cnt must be int, got '512'"),
+        ({"arsenal": {"bf_fpp": "0.01"}},
+         "arsenal field bf_fpp must be float, got '0.01'"),
+        ({"component_params": {"mlop": {"zones": "64"}}},
+         "component_params.mlop field zones must be int, got '64'"),
+        ({"arsenal": {"component_params": {"tskid": {"lead": "4"}}}},
+         "component_params.tskid field lead must be int, got '4'"),
+        ({"arsenal": {"eval_cnt": True}},
+         "arsenal field eval_cnt must be int, got True"),
+        ({"arsenal": [["eval_cnt", 512]]}, "arsenal must be an object"),
     ])
     def test_malformed_config_is_one_error_line(self, tmp_path, capsys,
                                                 fields, message):
@@ -118,6 +129,17 @@ class TestRun:
         assert len(err) == 1
         assert err[0].startswith("arsenal-sim: error:")
         assert message in err[0]
+
+    def test_int_accepted_for_float_field(self, tmp_path):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({
+            "engine": "spp",
+            "pattern": {"kind": "sequential"},
+            "length": 50,
+            "component_params": {"spp": {"confidence_threshold": 1}},
+        }))
+        assert run_cli("run", "--config", str(cfg), "--out",
+                       str(tmp_path / "r.json")) == 0
 
     def test_standalone_next_line_below_default_degree(self, tmp_path):
         cfg = tmp_path / "exp.json"
@@ -137,6 +159,17 @@ class TestRun:
         trace.write_text("0x400 nonsense R\n")
         assert run_cli("run", "--trace", str(trace), "--engine", "none") == 1
         assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["-0x400 -0x40 R",
+                                      "0x400 0x1ffffffffffffffffff R"])
+    def test_out_of_range_trace_field_is_one_error_line(self, tmp_path, capsys,
+                                                        line):
+        trace = tmp_path / "wide.trace"
+        trace.write_text(line + "\n")
+        assert run_cli("run", "--trace", str(trace), "--engine", "none") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("arsenal-sim: error: line 1: ")
 
     def test_missing_trace_file_fails_nonzero(self):
         assert run_cli("run", "--trace", "/no/such/file", "--engine", "none") == 1
@@ -181,6 +214,38 @@ class TestCompare:
 
     def test_compare_missing_config_fails(self):
         assert run_cli("compare", "--config", "/no/such/cmp.json") == 1
+
+
+class TestStreamedTraceError:
+    """A trace file is read during the pass, so its errors surface there."""
+
+    @pytest.fixture
+    def late_error_trace(self, tmp_path):
+        path = tmp_path / "late.trace"
+        lines = [f"0x400 0x{64 * i:x} R" for i in range(700)]
+        path.write_text("\n".join([*lines, "0x400 nonsense R"]) + "\n")
+        return path
+
+    @pytest.mark.parametrize("verb", ["run", "compare"])
+    def test_one_error_line_and_no_report(self, tmp_path, capsys,
+                                          late_error_trace, verb):
+        out = tmp_path / "report.json"
+        if verb == "run":
+            argv = ["run", "--trace", str(late_error_trace),
+                    "--engine", "arsenal-tc2"]
+        else:
+            cfg = tmp_path / "cmp.json"
+            cfg.write_text(json.dumps({"policy": "tc1", "traces": [
+                {"label": "seq", "pattern": {"kind": "sequential"},
+                 "length": 300},
+                {"label": "late", "file": str(late_error_trace)},
+            ]}))
+            argv = ["compare", "--config", str(cfg)]
+        assert run_cli(*argv, "--out", str(out)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("arsenal-sim: error: line 701: ")
+        assert not out.exists()
 
 
 class TestOverheadVerb:

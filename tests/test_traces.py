@@ -51,6 +51,27 @@ class TestParseTrace:
     def test_empty_stream_is_empty_sequence(self):
         assert list(parse_trace([])) == []
 
+    @pytest.mark.parametrize("line", [
+        "-0x400 -0x40 R",
+        "0x400 -0x40 R",
+        "-0x400 0x40 R",
+        "0x400 0x1ffffffffffffffffff R",   # 73 bits
+        "0x10000000000000000 0x40 R",      # 2**64
+    ])
+    def test_field_outside_64_bits_names_line(self, line):
+        with pytest.raises(TraceParseError) as err:
+            list(parse_trace(["0x400 0x1000 R", line]))
+        assert err.value.line_number == 2
+
+    def test_widest_fields_round_trip(self):
+        top = (1 << 64) - 1
+        events = list(parse_trace([f"0x{top:x} 0x{top:x} W"]))
+        assert (events[0].pc, events[0].addr) == (top, top)
+        buf = io.StringIO()
+        write_trace(events, buf)
+        buf.seek(0)
+        assert list(parse_trace(buf)) == events
+
     def test_round_trip(self):
         spec = PatternSpec(kind="random_working_set", working_set_lines=128,
                            write_fraction=0.3, seed=9)
