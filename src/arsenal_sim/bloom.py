@@ -79,11 +79,8 @@ class BloomFilter:
     __slots__ = ("params", "inserted_count", "_m", "_k", "_seed_a", "_seed_b",
                  "_set_bits", "_positions")
 
-    def __init__(self, capacity: int = 2000, fpp: float = 0.01, seed: int = 0,
-                 params: BloomParams | None = None):
-        if params is None:
-            params = BloomParams.create(capacity, fpp, seed)
-        self.params = params
+    def __init__(self, capacity: int = 2000, fpp: float = 0.01, seed: int = 0):
+        self.params = params = BloomParams.create(capacity, fpp, seed)
         self._m = params.bit_table_size
         self._k = params.hash_count
         self._seed_a = params.seed

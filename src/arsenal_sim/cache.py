@@ -32,13 +32,6 @@ class AccessOutcome(NamedTuple):
     is_pae: bool
 
 
-class InFlightPrefetch(NamedTuple):
-    line: int
-    issue_seq: int
-    fill_seq: int
-    source: str
-
-
 def _is_pow2(x: int) -> bool:
     return x > 0 and (x & (x - 1)) == 0
 
@@ -213,13 +206,6 @@ class SetAssociativeCache:
             self.filled_by_source[src] = self.filled_by_source.get(src, 0) + 1
             filled += 1
         return filled
-
-    def in_flight_entries(self) -> list[InFlightPrefetch]:
-        out = []
-        for line, (fill_seq, source) in self._inflight.items():
-            out.append(InFlightPrefetch(
-                line, fill_seq - self.config.prefetch_fill_delay, fill_seq, source))
-        return out
 
     def demand_counts(self) -> dict[str, int]:
         return {

@@ -11,18 +11,19 @@ Verbs:
 import argparse
 import json
 import sys
+from contextlib import contextmanager
+from dataclasses import replace
 
 from .harness import (
     ENGINE_NAMES,
     cache_config_from_dict,
     compare_engines,
     experiment_from_dict,
-    reject_unknown,
     run_experiment,
 )
-from .arsenal import ROSTERS
-from .metrics import emit_report, overhead, overhead_for_test_case
-from .traces import PatternSpec, generate, write_trace
+from .arsenal import ROSTERS, TEST_CASE_2
+from .metrics import FORMATS, emit_report, overhead, overhead_for_test_case
+from .traces import PatternSpec, check_fields, generate, write_trace
 
 
 def parse_pattern_arg(text: str) -> PatternSpec:
@@ -47,67 +48,73 @@ def parse_pattern_arg(text: str) -> PatternSpec:
     return PatternSpec.from_dict(params)
 
 
-def _load_config(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def _load_config(args, flags: tuple) -> dict:
+    """The --config file's object, each of ``flags`` given set over its key."""
+    data = {}
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"{args.config}: a configuration must be a JSON object")
+    data.update((key, getattr(args, key)) for key in flags
+                if getattr(args, key) is not None)
+    return data
 
 
+def _checked_sink(data: dict) -> tuple:
+    """The report's path and format, once the format is known good."""
+    fmt = data.get("format", FORMATS[0])
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format: {fmt!r}")
+    return data.get("out"), fmt
+
+
+@contextmanager
 def _open_sink(path):
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8") as sink:
+            yield sink
 
 
 def _emit(report: dict, fmt: str, out_path) -> None:
-    sink, owned = _open_sink(out_path)
-    try:
+    with _open_sink(out_path) as sink:
         emit_report(report, fmt, sink)
-    finally:
-        if owned:
-            sink.close()
 
 
 def cmd_run(args) -> int:
-    data = _load_config(args.config) if args.config else {}
+    data = _load_config(args, ("engine", "length", "seed", "out", "format"))
     if args.trace:
         data["trace_file"] = args.trace
         data.pop("pattern", None)
     if args.pattern:
         data["pattern"] = parse_pattern_arg(args.pattern).to_dict()
         data.pop("trace_file", None)
-    if args.engine:
-        data["engine"] = args.engine
-    if args.length is not None:
-        data["length"] = args.length
-    if args.seed is not None:
-        data["seed"] = args.seed
-    out = args.out if args.out is not None else data.get("out")
-    fmt = args.format if args.format is not None else data.get("format", "json")
     cfg = experiment_from_dict(data)
-    report = run_experiment(cfg)
-    _emit(report, fmt, out)
+    out, fmt = _checked_sink(data)
+    _emit(run_experiment(cfg), fmt, out)
     return 0
 
 
-_COMPARE_FIELDS = {"policy", "traces", "cache", "arsenal", "component_params",
-                   "seed", "out", "format"}
+# Each compare config field, typed by its default; None marks a value that
+# its own parser checks.
+_COMPARE_DEFAULTS = {"policy": TEST_CASE_2, "traces": [], "cache": None,
+                     "arsenal": None, "component_params": None, "seed": 0,
+                     "out": "", "format": FORMATS[0]}
 
 
 def cmd_compare(args) -> int:
-    data = _load_config(args.config)
-    reject_unknown("compare", data, _COMPARE_FIELDS)
-    if "traces" not in data:
-        raise ValueError("compare configuration requires a traces list")
-    seed = args.seed if args.seed is not None else int(data.get("seed", 0))
-    out = args.out if args.out is not None else data.get("out")
-    fmt = args.format if args.format is not None else data.get("format", "json")
+    data = _load_config(args, ("seed", "out", "format"))
+    check_fields("compare", data, _COMPARE_DEFAULTS, required=("traces",))
+    out, fmt = _checked_sink(data)
     report = compare_engines(
         traces=data["traces"],
-        policy=data.get("policy", "tc2"),
-        cache=cache_config_from_dict(data.get("cache")),
+        policy=data.get("policy", TEST_CASE_2),
+        cache=cache_config_from_dict(data.get("cache", {})),
         arsenal=data.get("arsenal"),
         component_params=data.get("component_params"),
-        seed=seed,
+        seed=data.get("seed", 0),
     )
     _emit(report, fmt, out)
     return 0
@@ -125,13 +132,9 @@ def cmd_overhead(args) -> int:
 def cmd_gen(args) -> int:
     spec = parse_pattern_arg(args.pattern)
     if args.seed is not None:
-        spec = PatternSpec.from_dict({**spec.to_dict(), "seed": args.seed})
-    sink, owned = _open_sink(args.out)
-    try:
+        spec = replace(spec, seed=args.seed)
+    with _open_sink(args.out) as sink:
         write_trace(generate(spec, args.length), sink)
-    finally:
-        if owned:
-            sink.close()
     return 0
 
 
@@ -149,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--length", type=int, help="synthetic trace length")
     run.add_argument("--seed", type=int)
     run.add_argument("--out", help="output path (default stdout)")
-    run.add_argument("--format", choices=("json", "csv"))
+    run.add_argument("--format", choices=FORMATS)
     run.set_defaults(func=cmd_run)
 
     cmp_ = sub.add_parser("compare", help="compare engines over a trace list")
@@ -157,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="compare configuration file (JSON)")
     cmp_.add_argument("--seed", type=int)
     cmp_.add_argument("--out")
-    cmp_.add_argument("--format", choices=("json", "csv"))
+    cmp_.add_argument("--format", choices=FORMATS)
     cmp_.set_defaults(func=cmd_compare)
 
     ovh = sub.add_parser("overhead", help="print hardware-overhead accounting")
@@ -184,7 +187,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"arsenal-sim: error: {exc}", file=sys.stderr)
         return 1
 

@@ -23,9 +23,10 @@ from .arsenal import (
     build_component,
 )
 from .cache import AccessEvent, CacheConfig, SetAssociativeCache, amat
-from .metrics import compute_metrics, overhead_for_test_case
+from .metrics import FORMATS, compute_metrics, overhead_for_test_case
 from .prefetchers import PaeContext
-from .traces import PatternSpec, generate, stream_trace_file
+from .traces import (PatternSpec, check_fields, generate, reject_unknown,
+                     stream_trace_file)
 
 ENGINE_NONE = "none"
 ARSENAL_PREFIX = "arsenal-"
@@ -72,24 +73,9 @@ class StandaloneEngine:
         return detail
 
 
-def reject_unknown(what: str, data, known) -> None:
-    """Raise ValueError unless ``data`` is an object whose keys are all known."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{what} must be an object")
-    unknown = set(data) - set(known)
-    if unknown:
-        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
-
-
-def check_fields(what: str, data, defaults: dict) -> None:
-    """Reject unknown keys and values not of their default's type (an int
-    passes for a float; a bool never passes for an int)."""
-    reject_unknown(what, data, defaults)
-    for key, value in data.items():
-        expected = type(defaults[key])
-        if type(value) is not expected and (expected, type(value)) != (float, int):
-            raise ValueError(f"{what} field {key} must be {expected.__name__}, "
-                             f"got {value!r}")
+# the engine name sets the selection policy, so a config may not
+_ARSENAL_DEFAULTS = {key: value for key, value in vars(ArsenalConfig()).items()
+                     if key != "selection_policy"}
 
 
 def _check_component_params(params) -> None:
@@ -122,7 +108,7 @@ class ExperimentConfig:
         self.cache.validate()
         if self.pattern is not None:
             self.pattern.validate()
-        check_fields("arsenal", self.arsenal, vars(ArsenalConfig()))
+        check_fields("arsenal", self.arsenal, _ARSENAL_DEFAULTS)
         _check_component_params(self.component_params)
         _check_component_params(self.arsenal.get("component_params", {}))
         return self
@@ -133,7 +119,7 @@ class ExperimentConfig:
             return stream_trace_file(self.trace_file)
         spec = self.pattern
         if spec.seed == 0 and self.seed:
-            spec = PatternSpec.from_dict({**spec.to_dict(), "seed": self.seed})
+            spec = replace(spec, seed=self.seed)
         return generate(spec, self.length)
 
     def trace_summary(self) -> dict:
@@ -142,39 +128,35 @@ class ExperimentConfig:
         return {"pattern": self.pattern.to_dict(), "length": self.length}
 
 
-def cache_config_from_dict(data: dict | None) -> CacheConfig:
-    if not data:
-        return CacheConfig()
+def cache_config_from_dict(data) -> CacheConfig:
     reject_unknown("cache", data, CacheConfig.__dataclass_fields__)
     return CacheConfig(**data).validate()
 
 
-_EXPERIMENT_FIELDS = {"engine", "trace_file", "pattern", "length", "cache",
-                      "arsenal", "component_params", "seed", "label",
-                      "out", "format"}
+# A config object's fields, each typed by its default; None marks a value
+# that its own parser checks.
+_EXPERIMENT_DEFAULTS = {"engine": ENGINE_NONE, "trace_file": "", "pattern": None,
+                        "length": DEFAULT_LENGTH, "cache": None, "arsenal": None,
+                        "component_params": None, "seed": 0, "label": "",
+                        "out": "", "format": FORMATS[0]}
+_TRACE_DEFAULTS = {"label": "", "file": "", "pattern": None, "length": DEFAULT_LENGTH}
 
 
-def experiment_from_dict(data: dict) -> ExperimentConfig:
+def experiment_from_dict(data) -> ExperimentConfig:
     """Build an ExperimentConfig from a parsed configuration mapping.
 
     ``out`` and ``format`` are report-sink hints consumed by the CLI.
     """
-    reject_unknown("experiment", data, _EXPERIMENT_FIELDS)
-    pattern = data.get("pattern")
-    return ExperimentConfig(
-        engine=data.get("engine", ENGINE_NONE),
-        trace_file=data.get("trace_file"),
-        pattern=PatternSpec.from_dict(pattern) if pattern is not None else None,
-        length=int(data.get("length", DEFAULT_LENGTH)),
-        cache=cache_config_from_dict(data.get("cache")),
-        arsenal=data.get("arsenal", {}),
-        component_params=data.get("component_params", {}),
-        seed=int(data.get("seed", 0)),
-        label=data.get("label", ""),
-    ).validate()
+    check_fields("experiment", data, _EXPERIMENT_DEFAULTS)
+    fields = {key: value for key, value in data.items()
+              if key not in ("out", "format")}
+    if fields.get("pattern") is not None:
+        fields["pattern"] = PatternSpec.from_dict(fields["pattern"])
+    fields["cache"] = cache_config_from_dict(fields.get("cache", {}))
+    return ExperimentConfig(**fields).validate()
 
 
-def build_engine(cfg: ExperimentConfig, record_log: bool = False):
+def build_engine(cfg: ExperimentConfig):
     """The engine ``cfg.engine`` names: none, arsenal-<policy> or a component."""
     if cfg.engine == ENGINE_NONE:
         return NoPrefetchEngine()
@@ -183,7 +165,7 @@ def build_engine(cfg: ExperimentConfig, record_log: bool = False):
         kw = dict(cfg.arsenal, selection_policy=cfg.engine[len(ARSENAL_PREFIX):])
         kw.setdefault("master_seed", cfg.seed or ArsenalConfig.master_seed)
         kw.setdefault("component_params", cfg.component_params)
-        return Arsenal(ArsenalConfig(**kw), max_line=max_line, record_log=record_log)
+        return Arsenal(ArsenalConfig(**kw), max_line=max_line)
     name = cfg.engine.replace("-", "_")
     return StandaloneEngine(name, build_component(
         name, cfg.component_params, max_line, standalone=True))
@@ -239,8 +221,7 @@ def run_in_one_pass(sims: list[Simulation], events: Iterable[AccessEvent]) -> No
         chunk = list(islice(it, SLICE_EVENTS))
 
 
-def run_experiment(cfg: ExperimentConfig, baseline_amat: Optional[float] = None,
-                   record_log: bool = False) -> dict:
+def run_experiment(cfg: ExperimentConfig, baseline_amat: Optional[float] = None) -> dict:
     """Run one experiment and assemble its report.
 
     When no baseline AMAT is supplied and the engine prefetches, a
@@ -248,7 +229,7 @@ def run_experiment(cfg: ExperimentConfig, baseline_amat: Optional[float] = None,
     obtain it, so the speedup proxy always compares identical code paths.
     """
     cfg.validate()
-    engine = build_engine(cfg, record_log=record_log)
+    engine = build_engine(cfg)
     sim = Simulation(cfg.cache, engine)
     sims = [sim]
     if baseline_amat is None and cfg.engine != ENGINE_NONE:
@@ -293,8 +274,6 @@ def run_experiment(cfg: ExperimentConfig, baseline_amat: Optional[float] = None,
         report["overhead"] = overhead_for_test_case(
             engine.config.selection_policy, engine.config.bf_est_cap,
             engine.config.bf_fpp)
-    if record_log and hasattr(engine, "pae_log"):
-        report["pae_log_length"] = len(engine.pae_log)
     return report
 
 
@@ -309,23 +288,29 @@ def compare_engines(traces: list[dict], policy: str = TEST_CASE_2,
     """
     if policy not in ROSTERS:
         raise ValueError(f"unknown selection policy: {policy!r}")
+    if not traces:
+        raise ValueError("compare requires at least one trace")
     standalone = [name.replace("_", "-") for name in ROSTERS[policy]]
     engines = [ENGINE_NONE, *standalone, ARSENAL_PREFIX + policy]
     cache = cache or CacheConfig()
 
-    per_trace = []
+    configs = []
     for index, trace in enumerate(traces):
-        label = trace.get("label", f"trace-{index}")
+        check_fields("compare trace", trace, _TRACE_DEFAULTS)
         pattern = trace.get("pattern")
-        cfg = ExperimentConfig(
+        configs.append(ExperimentConfig(
             trace_file=trace.get("file"),
-            pattern=PatternSpec.from_dict(pattern) if pattern is not None else None,
-            length=int(trace.get("length", DEFAULT_LENGTH)),
+            pattern=None if pattern is None else PatternSpec.from_dict(pattern),
+            length=trace.get("length", DEFAULT_LENGTH),
             cache=cache,
             arsenal=arsenal or {},
             component_params=component_params or {},
             seed=seed,
-        ).validate()
+            label=trace.get("label", f"trace-{index}"),
+        ).validate())
+
+    per_trace = []
+    for cfg in configs:
         sims = [Simulation(cache, build_engine(replace(cfg, engine=engine)))
                 for engine in engines]
         run_in_one_pass(sims, cfg.events())
@@ -340,9 +325,9 @@ def compare_engines(traces: list[dict], policy: str = TEST_CASE_2,
         oracle_engine = max(standalone, key=lambda e: results[e]["speedup_proxy"])
         oracle = {"engine": oracle_engine,
                   "speedup_proxy": results[oracle_engine]["speedup_proxy"]}
-        per_trace.append({"label": label, "results": results, "oracle": oracle})
+        per_trace.append({"label": cfg.label, "results": results, "oracle": oracle})
 
-    n = max(1, len(traces))
+    n = len(traces)
     summary = {name: sum(t["results"][name]["speedup_proxy"] for t in per_trace) / n
                for name in engines}
     summary["oracle"] = sum(t["oracle"]["speedup_proxy"] for t in per_trace) / n

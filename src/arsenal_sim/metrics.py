@@ -221,11 +221,12 @@ def to_csv(report: dict) -> str:
     return out.getvalue()
 
 
+_WRITERS = {"json": to_json, "csv": to_csv}
+FORMATS = tuple(_WRITERS)  # the first is the default
+
+
 def emit_report(report: dict, format: str, sink) -> None:
     """Serialize a report deterministically to a writable text sink."""
-    if format == "json":
-        sink.write(to_json(report))
-    elif format == "csv":
-        sink.write(to_csv(report))
-    else:
+    if format not in _WRITERS:
         raise ValueError(f"unknown format: {format!r}")
+    sink.write(_WRITERS[format](report))

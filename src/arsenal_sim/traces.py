@@ -73,6 +73,36 @@ def write_trace(events: Iterable[AccessEvent], sink) -> int:
     return n
 
 
+def reject_unknown(what: str, data, known) -> None:
+    """Raise ValueError unless ``data`` is an object whose keys are all known."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be an object")
+    unknown = set(data) - set(known)
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+
+
+def check_fields(what: str, data, defaults: dict, required=()) -> None:
+    """Reject a non-object, unknown or missing keys, and values not of their
+    default's type (an int passes for a float; a bool never passes for an
+    int). A None default leaves the value to its own parser."""
+    reject_unknown(what, data, defaults)
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise ValueError(f"missing {what} fields: {missing}")
+    for key, value in data.items():
+        if defaults[key] is None:
+            continue
+        expected = type(defaults[key])
+        if type(value) is not expected and (expected, type(value)) != (float, int):
+            raise ValueError(f"{what} field {key} must be {expected.__name__}, "
+                             f"got {value!r}")
+
+
+_STREAM_DEFAULTS = {"pc": 0, "start": 0, "delta": 0}
+_SEGMENT_DEFAULTS = {"spec": None, "length": 0}
+
+
 @dataclass
 class PatternSpec:
     """One synthetic access pattern.
@@ -82,7 +112,7 @@ class PatternSpec:
       stride: start, stride (bytes, nonzero), pc (fixed)
       random_working_set: start, working_set_lines, pc_pool, write_fraction
       pc_delta: streams = [{pc, start, delta}, ...], visited round-robin
-      phased: segments = [{"spec": {...}, "length": n}, ...]
+      phased: segments = [{"spec": {...}, "length": n}, ...], each spec flat
     """
     kind: str
     start: int = 0
@@ -103,25 +133,38 @@ class PatternSpec:
             raise ValueError("stride must be nonzero")
         if self.kind == PC_DELTA and not self.streams:
             raise ValueError("pc_delta requires at least one stream")
+        for stream in self.streams:
+            check_fields("pattern stream", stream, _STREAM_DEFAULTS,
+                         required=_STREAM_DEFAULTS)
         if self.kind == RANDOM_WORKING_SET and self.working_set_lines < 1:
             raise ValueError("working_set_lines must be >= 1")
         if self.kind == PHASED:
-            if not self.segments:
-                raise ValueError("phased requires at least one segment")
-            for seg in self.segments:
-                if int(seg.get("length", 0)) <= 0:
-                    raise ValueError("phased segment lengths must be positive")
+            self._flat_segments()
         return self
+
+    def _flat_segments(self) -> list[tuple["PatternSpec", int]]:
+        """Check a phased pattern's segments; each one's spec and length.
+        The segments themselves stay the raw dicts they were given as."""
+        if not self.segments:
+            raise ValueError("phased requires at least one segment")
+        out = []
+        for seg in self.segments:
+            check_fields("pattern segment", seg, _SEGMENT_DEFAULTS,
+                         required=_SEGMENT_DEFAULTS)
+            spec = PatternSpec.from_dict(seg["spec"])
+            if spec.kind == PHASED:
+                raise ValueError("phased segments must be flat patterns")
+            if seg["length"] <= 0:
+                raise ValueError("phased segment lengths must be positive")
+            out.append((spec, seg["length"]))
+        return out
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "PatternSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown pattern fields: {sorted(unknown)}")
+    def from_dict(cls, data) -> "PatternSpec":
+        check_fields("pattern", data, vars(cls("")), required=("kind",))
         return cls(**data).validate()
 
 
@@ -155,53 +198,38 @@ def _generate_flat(spec: PatternSpec, length: int, seq_base: int,
             is_write = wf > 0.0 and rng.random() < wf
             yield AccessEvent(pool[rng.randrange(len(pool))], line * lsz,
                               is_write, seq_base + i)
-    elif kind == PC_DELTA:
-        cursors = [[int(s["pc"]), int(s["start"]), int(s["delta"])]
-                   for s in spec.streams]
+    else:  # PC_DELTA: validate leaves no other kind here
+        cursors = [[s["pc"], s["start"], s["delta"]] for s in spec.streams]
         n = len(cursors)
         for i in range(length):
             cur = cursors[i % n]
             yield AccessEvent(cur[0], cur[1], False, seq_base + i)
             cur[1] += cur[2]
-    else:
-        raise ValueError(f"not a flat pattern kind: {kind!r}")
+
+
+def _phases(spec: PatternSpec, length: int):
+    """Yield (flat spec, rng seed, first seq, event count) for each phase of
+    ``length`` events: a phased pattern cycles through its segments."""
+    if spec.kind != PHASED:
+        yield spec.validate(), spec.seed, 0, length
+        return
+    segments = spec._flat_segments()
+    seq = index = 0
+    while seq < length:
+        flat, seg_len = segments[index % len(segments)]
+        seg_len = min(seg_len, length - seq)
+        yield flat, (spec.seed << 16) ^ index, seq, seg_len
+        seq += seg_len
+        index += 1
 
 
 def generate(spec: PatternSpec, length: int) -> Iterator[AccessEvent]:
     """Deterministically generate ``length`` events for a pattern spec."""
-    spec.validate()
-    if spec.kind != PHASED:
-        rng = random.Random(spec.seed)
-        yield from _generate_flat(spec, length, 0, rng)
-        return
-    seq = 0
-    remaining = length
-    index = 0
-    while remaining > 0:
-        seg = spec.segments[index % len(spec.segments)]
-        sub = PatternSpec.from_dict(dict(seg["spec"]))
-        seg_len = min(int(seg["length"]), remaining)
-        rng = random.Random((spec.seed << 16) ^ index)
-        yield from _generate_flat(sub, seg_len, seq, rng)
-        seq += seg_len
-        remaining -= seg_len
-        index += 1
+    for flat, seed, seq, seg_len in _phases(spec, length):
+        yield from _generate_flat(flat, seg_len, seq, random.Random(seed))
 
 
 def phase_boundaries(spec: PatternSpec, length: int) -> list[dict]:
     """Segment layout of a phased pattern: [{kind, start, end}, ...]."""
-    spec.validate()
-    if spec.kind != PHASED:
-        return [{"kind": spec.kind, "start": 0, "end": length}]
-    out = []
-    seq = 0
-    index = 0
-    remaining = length
-    while remaining > 0:
-        seg = spec.segments[index % len(spec.segments)]
-        seg_len = min(int(seg["length"]), remaining)
-        out.append({"kind": seg["spec"]["kind"], "start": seq, "end": seq + seg_len})
-        seq += seg_len
-        remaining -= seg_len
-        index += 1
-    return out
+    return [{"kind": flat.kind, "start": seq, "end": seq + seg_len}
+            for flat, _, seq, seg_len in _phases(spec, length)]

@@ -104,11 +104,11 @@ class TestEnqueue:
     def test_fresh_line_accepted_with_fill_delay(self):
         c = make_cache()
         assert c.enqueue_prefetch(12, "nl", 7)
-        entries = c.in_flight_entries()
-        assert len(entries) == 1
-        assert entries[0].line == 12
-        assert entries[0].fill_seq == 47
-        assert entries[0].source == "nl"
+        assert c.in_flight_count == 1
+        assert c.fill_due(46) == 0
+        assert c.fill_due(47) == 1
+        assert c.is_resident(12)
+        assert c.filled_by_source == {"nl": 1}
 
     def test_duplicate_in_flight_rejected(self):
         c = make_cache()
@@ -146,7 +146,8 @@ class TestFillDue:
         c.enqueue_prefetch(3, "nl", 50)
         assert c.fill_due(45) == 2
         assert c.in_flight_count == 1
-        assert c.in_flight_entries()[0].line == 3
+        assert c.fill_due(90) == 1
+        assert c.is_resident(3)
 
 
 class TestAmat:

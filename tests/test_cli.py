@@ -3,11 +3,117 @@ import json
 import pytest
 
 from arsenal_sim.cli import main, parse_pattern_arg
+from arsenal_sim.harness import Simulation
 from arsenal_sim.traces import parse_trace_file
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+@pytest.fixture
+def steps(monkeypatch):
+    """The events simulated so far, counted by Simulation.step calls."""
+    count = [0]
+    step = Simulation.step
+
+    def counted(self, event):
+        count[0] += 1
+        return step(self, event)
+
+    monkeypatch.setattr(Simulation, "step", counted)
+    return count
+
+
+def fails_before_running(tmp_path, capsys, steps, config, verb, message):
+    """Run ``verb`` on ``config``: one error line holding ``message``, exit
+    code 1, no report file and no simulated event."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "report.out"
+    assert run_cli(verb, "--config", str(path), "--out", str(out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("arsenal-sim: error:")
+    assert message in err[0]
+    assert not out.exists()
+    assert steps[0] == 0
+
+
+SEQ = {"kind": "sequential"}
+BOTH = ("run", "compare")
+
+
+def phased(*segments):
+    """A phased pattern whose first segment is sound, and longer than the
+    slice a simulation runs at a time, so a check made only when the next
+    segment is reached would show as simulated events."""
+    return {"kind": "phased", "segments": [{"spec": SEQ, "length": 300}, *segments]}
+
+
+# (verbs, top-level fields, trace fields, message). For run both sets of
+# fields go into the one experiment; for compare the first goes into the
+# config and the second into its only trace. A list is the whole config.
+MALFORMED = [
+    (BOTH, [{"engine": "none"}], {}, "a configuration must be a JSON object"),
+    (BOTH, {}, {"pattern": {"kind": "sequential", "start": "0"}},
+     "pattern field start must be int, got '0'"),
+    (BOTH, {}, {"pattern": {"kind": "stride", "stride": 1.5}},
+     "pattern field stride must be int, got 1.5"),
+    (BOTH, {}, {"pattern": 5}, "pattern must be an object"),
+    (BOTH, {}, {"pattern": phased({"spec": 3, "length": 10})},
+     "pattern must be an object"),
+    (BOTH, {}, {"pattern": phased(7)}, "pattern segment must be an object"),
+    (BOTH, {}, {"pattern": phased({"spec": SEQ, "lenght": 10})},
+     "unknown pattern segment fields: ['lenght']"),
+    (BOTH, {}, {"pattern": phased({"length": 10})},
+     "missing pattern segment fields: ['spec']"),
+    (BOTH, {}, {"pattern": phased({"spec": phased(), "length": 10})},
+     "phased segments must be flat patterns"),
+    (BOTH, {}, {"pattern": phased({"spec": {"kind": "stride", "stride": 0},
+                                   "length": 10})}, "stride must be nonzero"),
+    (BOTH, {}, {"pattern": {"kind": "pc_delta", "streams": [{"pc": 4, "start": 0}]}},
+     "missing pattern stream fields: ['delta']"),
+    (BOTH, {}, {"length": "10"}, "field length must be int, got '10'"),
+    (BOTH, {}, {"length": 10.7}, "field length must be int, got 10.7"),
+    (BOTH, {}, {"length": True}, "field length must be int, got True"),
+    (BOTH, {}, {"label": 5}, "field label must be str, got 5"),
+    (BOTH, {"seed": "7"}, {}, "field seed must be int, got '7'"),
+    (BOTH, {"format": "xml"}, {}, "unknown format: 'xml'"),
+    (BOTH, {"arsenal": {"selection_policy": "tc1"}}, {},
+     "unknown arsenal fields: ['selection_policy']"),
+    (BOTH, {"cache": []}, {}, "cache must be an object"),
+    (BOTH, {"cache": 0}, {}, "cache must be an object"),
+    (BOTH, {"cache": False}, {}, "cache must be an object"),
+    (("run",), {}, {"trace_file": 5}, "field trace_file must be str, got 5"),
+    (("compare",), {}, {"file": 5}, "field file must be str, got 5"),
+    (("compare",), {}, {"lenght": 10}, "unknown compare trace fields: ['lenght']"),
+    (("compare",), {"traces": [1]}, {}, "compare trace must be an object"),
+    (("compare",), {"traces": {"seq": {"pattern": SEQ}}}, {},
+     "compare field traces must be list"),
+    (("compare",), {"traces": []}, {}, "compare requires at least one trace"),
+    (("compare",), {"traces": [{"pattern": SEQ, "length": 500},
+                               {"pattern": {"kind": "stride", "stride": 0}}]},
+     {}, "stride must be nonzero"),
+]
+
+
+def malformed_config(verb, top, trace):
+    if isinstance(top, list):
+        return top
+    trace = {"pattern": SEQ, "length": 400, **trace}
+    if verb == "run":
+        return {"engine": "arsenal-tc2", **trace, **top}
+    return {"policy": "tc2", "traces": [trace], **top}
+
+
+@pytest.mark.parametrize("verb,top,trace,message", [
+    (verb, top, trace, message)
+    for verbs, top, trace, message in MALFORMED for verb in verbs])
+def test_malformed_config_fails_before_running(tmp_path, capsys, steps, verb,
+                                               top, trace, message):
+    fails_before_running(tmp_path, capsys, steps,
+                         malformed_config(verb, top, trace), verb, message)
 
 
 class TestGen:
@@ -115,20 +221,10 @@ class TestRun:
          "arsenal field eval_cnt must be int, got True"),
         ({"arsenal": [["eval_cnt", 512]]}, "arsenal must be an object"),
     ])
-    def test_malformed_config_is_one_error_line(self, tmp_path, capsys,
+    def test_malformed_config_is_one_error_line(self, tmp_path, capsys, steps,
                                                 fields, message):
-        cfg = tmp_path / "exp.json"
-        cfg.write_text(json.dumps({
-            "engine": "arsenal-tc2",
-            "pattern": {"kind": "sequential"},
-            "length": 50,
-            **fields,
-        }))
-        assert run_cli("run", "--config", str(cfg)) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("arsenal-sim: error:")
-        assert message in err[0]
+        fails_before_running(tmp_path, capsys, steps,
+                             malformed_config("run", fields, {}), "run", message)
 
     def test_int_accepted_for_float_field(self, tmp_path):
         cfg = tmp_path / "exp.json"

@@ -187,6 +187,32 @@ class TestValidation:
         with pytest.raises(ValueError):
             PatternSpec.from_dict({"kind": "sequential", "bogus": 1})
 
+    @pytest.mark.parametrize("data,message", [
+        ({"kind": "phased", "segments": [
+            {"spec": {"kind": "sequential"}, "length": 4},
+            {"spec": {"kind": "phased", "segments": [
+                {"spec": {"kind": "stride"}, "length": 4}]}, "length": 4}]},
+         "phased segments must be flat patterns"),
+        ({"kind": "pc_delta", "streams": [{"pc": 4, "start": 0, "delta": 64},
+                                          {"pc": 8, "start": 0}]},
+         "missing pattern stream fields: ['delta']"),
+    ])
+    def test_from_dict_rejects_malformed_parts(self, data, message):
+        with pytest.raises(ValueError) as err:
+            PatternSpec.from_dict(data)
+        assert str(err.value) == message
+
     def test_dict_round_trip(self):
         spec = PatternSpec(kind="stride", start=64, stride=128, seed=5)
         assert PatternSpec.from_dict(spec.to_dict()) == spec
+
+    def test_phased_round_trip_keeps_raw_segments(self):
+        segments = [{"spec": {"kind": "stride", "stride": 128}, "length": 10},
+                    {"spec": {"kind": "pc_delta", "streams": [
+                        {"pc": 4, "start": 0, "delta": 64}]}, "length": 20}]
+        spec = PatternSpec.from_dict({"kind": "phased", "segments": segments,
+                                      "seed": 2})
+        assert spec.to_dict()["segments"] == segments
+        again = PatternSpec.from_dict(spec.to_dict())
+        assert again == spec
+        assert list(generate(again, 45)) == list(generate(spec, 45))
