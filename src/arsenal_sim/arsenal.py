@@ -11,7 +11,7 @@ component and the sandbox state (filters, counters, scores) resets; the
 selection itself persists through the following phase.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .bloom import component_seed, make_filter
@@ -65,7 +65,6 @@ PREFETCH_COUNTER_MAX = 4095  # 12-bit saturating attempt counter
 class PrefetchRequest(NamedTuple):
     line: int
     source: str
-    issue_seq: int
 
 
 class Selection(NamedTuple):
@@ -88,7 +87,6 @@ class ArsenalConfig:
     selection_policy: str = TEST_CASE_2
     filter_kind: str = "bloom"   # bloom | exact | paired
     master_seed: int = 0xA5EE
-    component_params: dict = field(default_factory=dict)
 
     def validate(self) -> "ArsenalConfig":
         if self.selection_policy not in ROSTERS:
@@ -159,14 +157,12 @@ class Arsenal:
     """The framework: components, per-component filters, scoreboard, phases."""
 
     def __init__(self, config: ArsenalConfig | None = None,
-                 components: dict | None = None,
+                 component_params: dict | None = None,
                  max_line: int = DEFAULT_MAX_LINE,
                  record_log: bool = False):
         self.config = (config or ArsenalConfig()).validate()
-        if components is None:
-            components = build_components(
-                self.config.selection_policy, self.config.component_params, max_line)
-        self.components = components
+        self.components = components = build_components(
+            self.config.selection_policy, component_params, max_line)
         self.names = list(components.keys())
         self.filters = {
             name: make_filter(self.config.filter_kind, self.config.bf_est_cap,
@@ -183,31 +179,23 @@ class Arsenal:
         self.selection = Selection(None, 0, 0)
         self.selection_timeline: list[dict] = []
         self.total_candidates = {name: 0 for name in self.names}
-        self._paes_since_reset = 0
         self.record_log = record_log
         self.pae_log: list[dict] = []
 
-    def score_demand(self, line: int, _record: dict | None = None) -> dict[str, int]:
-        """Score the demanded line against every filter; returns the deltas."""
+    def score_demand(self, line: int, _record: dict | None = None) -> None:
+        """Score the demanded line against every filter."""
         inc = self.config.score_inc
         dec = self.config.score_dec
-        deltas = {}
         for name, _, f, sb in self._rows:
             result = f.query(line)
             if _record is not None:
                 _record[name] = (result, getattr(f, "last_query_was_fp", False))
-            before = sb[2]
             if result:
-                after = before + inc
-                if after > SCORE_MAX:
-                    after = SCORE_MAX
+                score = sb[2] + inc
+                sb[2] = score if score < SCORE_MAX else SCORE_MAX
             else:
-                after = before - dec
-                if after < 0:
-                    after = 0
-            sb[2] = after
-            deltas[name] = after - before
-        return deltas
+                score = sb[2] - dec
+                sb[2] = score if score > 0 else 0
 
     def on_pae(self, ctx: PaeContext) -> list[PrefetchRequest]:
         eval_cap = self.config.eval_cnt
@@ -224,8 +212,7 @@ class Arsenal:
         live: list[int] = []
         for name, component, f, sb in self._rows:
             candidates = component.on_pae(ctx)
-            if sb[0] < eval_cap:
-                sb[0] += 1
+            sb[0] += 1
             if candidates:
                 n = len(candidates)
                 totals[name] += n
@@ -239,12 +226,11 @@ class Arsenal:
             if log_entry is not None:
                 log_entry["candidates"][name] = tuple(candidates)
 
-        seq = ctx.seq
-        out = [PrefetchRequest(line, selected, seq) for line in live]
+        out = [PrefetchRequest(line, selected) for line in live]
 
-        self._paes_since_reset += 1
-        if self._paes_since_reset >= eval_cap:
-            self._decide(seq)
+        # the rows' evaluation counters move together; sb is the last row's
+        if sb[0] >= eval_cap:
+            self._decide(ctx.seq)
             if log_entry is not None:
                 log_entry["decision"] = self.selection.chosen
         if log_entry is not None:
@@ -283,7 +269,6 @@ class Arsenal:
         for _, _, f, sb in self._rows:
             sb[:] = (0, 0, 0)
             f.clear()
-        self._paes_since_reset = 0
 
     def scores(self) -> dict[str, int]:
         return {name: sb[2] for name, _, _, sb in self._rows}

@@ -80,11 +80,9 @@ class CacheConfig:
 class SetAssociativeCache:
     """LRU set-associative cache plus an in-flight prefetch list.
 
-    Line state per set: line -> [prefetched_flag, lru_stamp, source].
-    The LRU stamp is an internal monotone touch counter so that stamps stay
-    distinct even when several prefetch fills land on the same tick. Each
-    set dict is kept in ascending stamp order (a touch re-inserts its line
-    at the end), so the least recently used line is the first key.
+    Line state per set: line -> [prefetched_flag, source]. Each set dict
+    is kept in touch order (a touch re-inserts its line at the end), so the
+    least recently used line is the first key.
     """
 
     def __init__(self, config: CacheConfig):
@@ -95,7 +93,6 @@ class SetAssociativeCache:
         self._sets: list[dict[int, list]] = [dict() for _ in range(config.sets)]
         self._inflight: dict[int, list] = {}   # line -> [fill_seq, source]
         self._fifo: deque[tuple[int, int]] = deque()  # (line, fill_seq), fill order
-        self._stamp = 0
         cfg = self.config
         self._out_hit = AccessOutcome(HIT, cfg.hit_latency, False)
         self._out_pf = AccessOutcome(PREFETCH_HIT, cfg.hit_latency, True)
@@ -126,14 +123,14 @@ class SetAssociativeCache:
     def in_flight_count(self) -> int:
         return len(self._inflight)
 
-    def _install(self, line: int, prefetched: bool, source, stamp: int) -> None:
+    def _install(self, line: int, prefetched: bool, source) -> None:
         lines = self._sets[line & self._set_mask]
         if len(lines) >= self._ways and line not in lines:
             state = lines.pop(next(iter(lines)))
             self.evictions += 1
             if state[0]:
                 self.evicted_unused_prefetches += 1
-        lines[line] = [prefetched, stamp, source]
+        lines[line] = [prefetched, source]
 
     def access(self, event: AccessEvent) -> AccessOutcome:
         """Classify one demand access and update cache state.
@@ -142,16 +139,14 @@ class SetAssociativeCache:
         """
         line = event.addr >> self._shift
         lines = self._sets[line & self._set_mask]
-        self._stamp = stamp = self._stamp + 1
         entry = lines.pop(line, None)
         if entry is not None:
             lines[line] = entry
-            entry[1] = stamp
             if entry[0]:
                 # a prefetched line yields exactly one prefetch hit
                 entry[0] = False
                 self.prefetch_hits += 1
-                src = entry[2]
+                src = entry[1]
                 self.useful_by_source[src] = self.useful_by_source.get(src, 0) + 1
                 return self._out_pf
             self.hits += 1
@@ -161,10 +156,10 @@ class SetAssociativeCache:
             # near-miss: the in-flight entry becomes this demand's fill
             self.late_prefetch_hits += 1
             self.pf_late_converted += 1
-            self._install(line, False, None, stamp)
+            self._install(line, False, None)
             return self._out_late
         self.misses += 1
-        self._install(line, False, None, stamp)
+        self._install(line, False, None)
         return self._out_miss
 
     def enqueue_prefetch(self, line: int, source: str, now: int) -> bool:
@@ -199,8 +194,7 @@ class SetAssociativeCache:
             if entry is None or entry[0] != fill_seq:
                 continue  # stale: converted to a demand fill in the meantime
             del inflight[line]
-            self._stamp = stamp = self._stamp + 1
-            self._install(line, True, entry[1], stamp)
+            self._install(line, True, entry[1])
             self.pf_filled += 1
             src = entry[1]
             self.filled_by_source[src] = self.filled_by_source.get(src, 0) + 1

@@ -112,9 +112,8 @@ def cmd_compare(args) -> int:
         traces=data["traces"],
         policy=data.get("policy", TEST_CASE_2),
         cache=cache_config_from_dict(data.get("cache", {})),
-        arsenal=data.get("arsenal"),
-        component_params=data.get("component_params"),
         seed=data.get("seed", 0),
+        **{key: data[key] for key in ("arsenal", "component_params") if key in data},
     )
     _emit(report, fmt, out)
     return 0

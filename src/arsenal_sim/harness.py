@@ -25,8 +25,8 @@ from .arsenal import (
 from .cache import AccessEvent, CacheConfig, SetAssociativeCache, amat
 from .metrics import FORMATS, compute_metrics, overhead_for_test_case
 from .prefetchers import PaeContext
-from .traces import (PatternSpec, check_fields, generate, reject_unknown,
-                     stream_trace_file)
+from .traces import (PatternSpec, check_address_range, check_fields, generate,
+                     reject_unknown, stream_trace_file)
 
 ENGINE_NONE = "none"
 ARSENAL_PREFIX = "arsenal-"
@@ -60,10 +60,8 @@ class StandaloneEngine:
         self.component = component
 
     def on_pae(self, ctx: PaeContext) -> list[PrefetchRequest]:
-        seq = ctx.seq
         name = self.name
-        return [PrefetchRequest(line, name, seq)
-                for line in self.component.on_pae(ctx)]
+        return [PrefetchRequest(line, name) for line in self.component.on_pae(ctx)]
 
     def describe(self) -> dict:
         detail = {"kind": "standalone", "component": self.name}
@@ -108,9 +106,9 @@ class ExperimentConfig:
         self.cache.validate()
         if self.pattern is not None:
             self.pattern.validate()
+            check_address_range(self.pattern, self.length)
         check_fields("arsenal", self.arsenal, _ARSENAL_DEFAULTS)
         _check_component_params(self.component_params)
-        _check_component_params(self.arsenal.get("component_params", {}))
         return self
 
     def events(self) -> Iterable[AccessEvent]:
@@ -164,8 +162,7 @@ def build_engine(cfg: ExperimentConfig):
     if cfg.engine.startswith(ARSENAL_PREFIX):
         kw = dict(cfg.arsenal, selection_policy=cfg.engine[len(ARSENAL_PREFIX):])
         kw.setdefault("master_seed", cfg.seed or ArsenalConfig.master_seed)
-        kw.setdefault("component_params", cfg.component_params)
-        return Arsenal(ArsenalConfig(**kw), max_line=max_line)
+        return Arsenal(ArsenalConfig(**kw), cfg.component_params, max_line)
     name = cfg.engine.replace("-", "_")
     return StandaloneEngine(name, build_component(
         name, cfg.component_params, max_line, standalone=True))
@@ -189,7 +186,7 @@ class Simulation:
         outcome = cache.access(event)
         if outcome.is_pae:
             self.pae_count += 1
-            ctx = PaeContext(event.pc, event.addr >> self._line_shift, seq, outcome.kind)
+            ctx = PaeContext(event.pc, event.addr >> self._line_shift, seq)
             requests = self.engine.on_pae(ctx)
             if requests:
                 issued = self.issued_by_source
@@ -278,13 +275,15 @@ def run_experiment(cfg: ExperimentConfig, baseline_amat: Optional[float] = None)
 
 
 def compare_engines(traces: list[dict], policy: str = TEST_CASE_2,
-                    cache: Optional[CacheConfig] = None,
-                    arsenal: Optional[dict] = None,
-                    component_params: Optional[dict] = None,
-                    seed: int = 0) -> dict:
+                    cache: Optional[CacheConfig] = None, seed: int = 0,
+                    **shared) -> dict:
     """Run the meta-prefetcher, each standalone component of its roster, and
     the baseline over each trace in one pass; report per-trace speedups plus
     a best-per-trace oracle picked among the standalone components.
+
+    ``shared`` holds the ExperimentConfig fields every run takes, such as
+    ``arsenal`` and ``component_params``; each is checked as ``run`` checks
+    it, and an omitted one takes its default.
     """
     if policy not in ROSTERS:
         raise ValueError(f"unknown selection policy: {policy!r}")
@@ -303,10 +302,9 @@ def compare_engines(traces: list[dict], policy: str = TEST_CASE_2,
             pattern=None if pattern is None else PatternSpec.from_dict(pattern),
             length=trace.get("length", DEFAULT_LENGTH),
             cache=cache,
-            arsenal=arsenal or {},
-            component_params=component_params or {},
             seed=seed,
             label=trace.get("label", f"trace-{index}"),
+            **shared,
         ).validate())
 
     per_trace = []

@@ -23,7 +23,6 @@ class PaeContext(NamedTuple):
     pc: int
     line: int
     seq: int
-    outcome_kind: str
 
 
 class NextLinePrefetcher:
@@ -76,24 +75,21 @@ class IpStridePrefetcher:
         self.table_size = table_size
         self.degree = degree
         self.max_line = max_line
-        # pc -> [last_line, stride, confidence, lru_stamp], in stamp order
+        # pc -> [last_line, stride, confidence], in touch order
         self.table: dict[int, list] = {}
-        self._stamp = 0
 
     def on_pae(self, ctx: PaeContext) -> list[int]:
-        self._stamp += 1
         table = self.table
         entry = table.pop(ctx.pc, None)
         if entry is None:
             if len(table) >= self.table_size:
                 del table[next(iter(table))]
-            table[ctx.pc] = [ctx.line, 0, 0, self._stamp]
+            table[ctx.pc] = [ctx.line, 0, 0]
             return []
         table[ctx.pc] = entry
         delta = ctx.line - entry[0]
         _train_stride(entry, delta)
         entry[0] = ctx.line
-        entry[3] = self._stamp
         stride = entry[1]
         if entry[2] >= 2 and stride != 0:
             max_line = self.max_line
@@ -146,16 +142,15 @@ class SppPrefetcher:
         self.confidence_threshold = confidence_threshold
         self.page_lines = page_lines
         self.max_line = max_line
-        # page -> [signature, last_offset, lru_stamp], in stamp order
+        # page -> [signature, last_offset], in touch order
         self.signature_table: dict[int, list] = {}
         # pt index -> [c_sig, slots]; slot = [delta, c_delta]
         self.pattern_table: dict[int, list] = {}
         # pt index -> what _best_slot returns for it; _train drops the entry
         # it changes
         self._best: dict[int, tuple | None] = {}
-        # ring of [signature, path_confidence, last_offset, delta]
+        # ring of [signature, last_offset, delta]
         self.ghr: list[list] = []
-        self._stamp = 0
         # chain instrumentation, checked by the acceptance suite
         self.max_chain_depth = 0
         self.confidence_violations = 0
@@ -206,21 +201,20 @@ class SppPrefetcher:
 
     def _ghr_bootstrap(self, offset: int) -> int | None:
         page_lines = self.page_lines
-        for rec in reversed(self.ghr):
-            target = rec[2] + rec[3]
+        for sig, last_offset, delta in reversed(self.ghr):
+            target = last_offset + delta
             if target >= page_lines and target - page_lines == offset:
-                return self._update_signature(rec[0], rec[3])
+                return self._update_signature(sig, delta)
             if target < 0 and target + page_lines == offset:
-                return self._update_signature(rec[0], rec[3])
+                return self._update_signature(sig, delta)
         return None
 
-    def _ghr_push(self, sig: int, confidence: float, offset: int, delta: int) -> None:
+    def _ghr_push(self, sig: int, offset: int, delta: int) -> None:
         if len(self.ghr) >= self.ghr_entries:
             self.ghr.pop(0)
-        self.ghr.append([sig, confidence, offset, delta])
+        self.ghr.append([sig, offset, delta])
 
     def on_pae(self, ctx: PaeContext) -> list[int]:
-        self._stamp += 1
         page_lines = self.page_lines
         page, offset = divmod(ctx.line, page_lines)
         st = self.signature_table
@@ -230,7 +224,7 @@ class SppPrefetcher:
             if len(st) >= self.st_entries:
                 del st[next(iter(st))]
             sig = boot if boot is not None else 0
-            st[page] = [sig, offset, self._stamp]
+            st[page] = [sig, offset]
         else:
             st[page] = entry
             delta = offset - entry[1]
@@ -240,7 +234,6 @@ class SppPrefetcher:
                 sig = self._update_signature(sig, delta)
             entry[0] = sig
             entry[1] = offset
-            entry[2] = self._stamp
         return self._lookahead(sig, page, offset)
 
     def _lookahead(self, sig: int, page: int, offset: int) -> list[int]:
@@ -263,7 +256,7 @@ class SppPrefetcher:
                 break
             nxt = offset + delta
             if nxt < 0 or nxt >= page_lines:
-                self._ghr_push(sig, confidence, offset, delta)
+                self._ghr_push(sig, offset, delta)
                 break
             cand = page_base + nxt
             if cand > self.max_line:
@@ -301,7 +294,8 @@ class MlopPrefetcher:
         self.score_threshold = score_threshold
         self.zone_lines = zone_lines
         self.max_line = max_line
-        # zone -> [bitmap, stamps, lru_stamp], in stamp order
+        # zone -> [bitmap, stamps], in touch order; stamps[i] is the PAE
+        # count at line i's last touch
         self.zone_table: dict[int, list] = {}
         # preference order for ties: 1, -1, 2, -2, ...
         self._offsets = [o for mag in range(1, max_offset + 1) for o in (mag, -mag)]
@@ -336,9 +330,7 @@ class MlopPrefetcher:
         if entry is None:
             if len(table) >= self.zones:
                 del table[next(iter(table))]
-            entry = [0, [0] * zone_lines, now]
-        else:
-            entry[2] = now
+            entry = [0, [0] * zone_lines]
         table[zone] = entry
         bitmap, stamps = entry[0], entry[1]
         levels = self.levels
@@ -388,10 +380,8 @@ class TskidPrefetcher:
         self.lead = lead
         self.verification_expiry = verification_expiry
         self.max_line = max_line
-        # pc -> [last_line, delta, confidence, use_distance, lru_stamp],
-        # in stamp order
+        # pc -> [last_line, delta, confidence, use_distance], in touch order
         self.table: dict[int, list] = {}
-        self._stamp = 0
         self._delay_queue: list[tuple[int, int, int]] = []  # (release_seq, tie, line)
         self._tie = 0
         # predicted_line -> (pc, trigger_seq); FIFO ring for expiry
@@ -420,7 +410,6 @@ class TskidPrefetcher:
             out.append(heapq.heappop(dq)[2])
 
     def on_pae(self, ctx: PaeContext) -> list[int]:
-        self._stamp += 1
         now = ctx.seq
         out: list[int] = []
         self._release_due(now, out)
@@ -436,13 +425,12 @@ class TskidPrefetcher:
         if entry is None:
             if len(table) >= self.table_size:
                 del table[next(iter(table))]
-            table[ctx.pc] = [ctx.line, 0, 0, 0, self._stamp]
+            table[ctx.pc] = [ctx.line, 0, 0, 0]
             return out
         table[ctx.pc] = entry
         delta = ctx.line - entry[0]
         _train_stride(entry, delta)
         entry[0] = ctx.line
-        entry[4] = self._stamp
         if entry[2] >= 2 and entry[1] != 0:
             predicted = ctx.line + entry[1]
             if 0 <= predicted <= self.max_line:

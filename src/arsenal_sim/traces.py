@@ -60,10 +60,6 @@ def stream_trace_file(path: str) -> Iterator[AccessEvent]:
         yield from parse_trace(fh)
 
 
-def parse_trace_file(path: str) -> list[AccessEvent]:
-    return list(stream_trace_file(path))
-
-
 def write_trace(events: Iterable[AccessEvent], sink) -> int:
     """Write events in the text trace format; returns the record count."""
     n = 0
@@ -221,6 +217,42 @@ def _phases(spec: PatternSpec, length: int):
         yield flat, (spec.seed << 16) ^ index, seq, seg_len
         seq += seg_len
         index += 1
+
+
+def _flat_bounds(spec: PatternSpec, n: int) -> Iterator[int]:
+    """The PCs and addresses at both ends of ``n`` > 0 events of a flat
+    pattern, or of its whole PC pool and working set where it draws from
+    them; each moves linearly, so these bound every value it takes."""
+    kind = spec.kind
+    if kind == PC_DELTA:
+        m = len(spec.streams)
+        for k, s in enumerate(spec.streams[:n]):
+            count = (n - k + m - 1) // m   # events k, k + m, ... below n
+            yield from (s["pc"], s["start"], s["start"] + (count - 1) * s["delta"])
+        return
+    if kind == STRIDE:
+        yield spec.pc
+    else:
+        pool = _pc_pool(spec)
+        yield from (pool[0], pool[-1])
+    if kind == RANDOM_WORKING_SET:
+        lsz = spec.line_size
+        base = spec.start // lsz * lsz
+        yield from (base, base + (spec.working_set_lines - 1) * lsz)
+    else:
+        step = spec.line_size if kind == SEQUENTIAL else spec.stride
+        yield from (spec.start, spec.start + (n - 1) * step)
+
+
+def check_address_range(spec: PatternSpec, length: int) -> None:
+    """Refuse a pattern whose ``length`` events would hold a PC or address
+    outside [0, 2**64), the range a trace file may hold."""
+    for flat, _, _, n in _phases(spec, length):
+        if n > 0:
+            for value in _flat_bounds(flat, n):
+                if value >> 64:  # nonzero when negative or >= 2**64
+                    raise ValueError(f"pattern {flat.kind} reaches PC or ADDR "
+                                     f"{value:#x}, outside [0, 2**64)")
 
 
 def generate(spec: PatternSpec, length: int) -> Iterator[AccessEvent]:

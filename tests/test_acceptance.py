@@ -19,7 +19,7 @@ from arsenal_sim.arsenal import (
     SCORE_MAX,
 )
 from arsenal_sim.bloom import BloomFilter, derive_parameters
-from arsenal_sim.cache import CacheConfig, MISS
+from arsenal_sim.cache import CacheConfig
 from arsenal_sim.harness import (
     ExperimentConfig,
     Simulation,
@@ -393,7 +393,7 @@ def test_criterion_10_component_sanity():
     assert spp.confidence_violations == 0
     rng = random.Random(43)
     for seq in range(20_000):
-        spp.on_pae(PaeContext(0x400, rng.randrange(64 * 64), seq, MISS))
+        spp.on_pae(PaeContext(0x400, rng.randrange(64 * 64), seq))
     assert spp.max_chain_depth <= 8
     assert spp.confidence_violations == 0
 

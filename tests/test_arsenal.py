@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arsenal_sim.arsenal import (
     IP_STRIDE,
@@ -16,12 +18,11 @@ from arsenal_sim.arsenal import (
     select_test_case_1,
     select_test_case_2,
 )
-from arsenal_sim.cache import MISS
 from arsenal_sim.prefetchers import PaeContext
 
 
 def ctx(line, seq, pc=0x400):
-    return PaeContext(pc, line, seq, MISS)
+    return PaeContext(pc, line, seq)
 
 
 def tc2_arsenal(**kw):
@@ -32,15 +33,13 @@ def tc2_arsenal(**kw):
 class TestScoreDemand:
     def test_floor_at_zero(self):
         a = tc2_arsenal()
-        deltas = a.score_demand(123)
-        assert all(d == 0 for d in deltas.values())
+        a.score_demand(123)
         assert all(s == 0 for s in a.scores().values())
 
     def test_filter_hit_adds_four(self):
         a = tc2_arsenal()
         a.filters[SPP].insert(123)
-        deltas = a.score_demand(123)
-        assert deltas[SPP] == 4
+        a.score_demand(123)
         assert a.scores()[SPP] == 4
         assert a.scores()[NEXT_LINE] == 0
 
@@ -139,7 +138,6 @@ class TestOnPae:
         out = a.on_pae(ctx(100, 7))
         assert [r.line for r in out] == [101, 102, 103, 104, 105]
         assert all(r.source == NEXT_LINE for r in out)
-        assert all(r.issue_seq == 7 for r in out)
 
     def test_selection_fires_exactly_at_eval_cnt(self):
         a = tc2_arsenal(eval_cnt=512)
@@ -161,6 +159,26 @@ class TestOnPae:
         assert len(a.selection_timeline) == 10
         decided = [d["decided_at"] for d in a.selection_timeline]
         assert decided == [63 + 64 * k for k in range(10)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(policy=st.sampled_from(["tc1", "tc2"]), eval_cnt=st.integers(1, 64),
+           stream=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2000),
+                                     st.integers(1, 3)), max_size=400))
+    def test_kth_decision_at_the_kth_multiple_of_eval_cnt(self, policy, eval_cnt,
+                                                          stream):
+        a = Arsenal(ArsenalConfig(selection_policy=policy, eval_cnt=eval_cnt))
+        seqs = []
+        seq = 0
+        for pc, line, gap in stream:
+            seq += gap
+            seqs.append(seq)
+            a.on_pae(ctx(line, seq, 0x400 + 8 * pc))
+        timeline = a.selection_timeline
+        assert len(timeline) == len(stream) // eval_cnt
+        for k, decision in enumerate(timeline, start=1):
+            assert decision["phase_index"] == k
+            assert decision["decided_at"] == seqs[k * eval_cnt - 1]
+            assert set(decision["eval_counters"].values()) == {eval_cnt}
 
     def test_eval_counter_never_exceeds_cap_after_call(self):
         a = tc2_arsenal(eval_cnt=32)
@@ -192,7 +210,8 @@ class TestPhaseReset:
         for name in a.names:
             assert a.scoreboard[name] == [0, 0, 0]
             assert not a.filters[name].query(50)
-        assert a.score_demand(42) == {n: 0 for n in a.names}
+        a.score_demand(42)
+        assert a.scores() == {n: 0 for n in a.names}
 
     def test_reset_applies_next_line_degree(self):
         a = tc2_arsenal()

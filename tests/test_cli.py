@@ -4,7 +4,7 @@ import pytest
 
 from arsenal_sim.cli import main, parse_pattern_arg
 from arsenal_sim.harness import Simulation
-from arsenal_sim.traces import parse_trace_file
+from arsenal_sim.traces import stream_trace_file
 
 
 def run_cli(*argv):
@@ -95,6 +95,27 @@ MALFORMED = [
     (("compare",), {"traces": [{"pattern": SEQ, "length": 500},
                                {"pattern": {"kind": "stride", "stride": 0}}]},
      {}, "stride must be nonzero"),
+    (BOTH, {"arsenal": {"component_params": {}}}, {},
+     "unknown arsenal fields: ['component_params']"),
+    (BOTH, {"arsenal": None}, {}, "arsenal must be an object"),
+    (BOTH, {"component_params": None}, {}, "component_params must be an object"),
+    (BOTH, {}, {"pattern": {"kind": "sequential", "start": -4096}},
+     "pattern sequential reaches PC or ADDR -0x1000, outside [0, 2**64)"),
+    (BOTH, {}, {"pattern": {"kind": "stride", "pc": -8}},
+     "reaches PC or ADDR -0x8, outside"),
+    (BOTH, {}, {"pattern": {"kind": "stride", "start": 64 * 100, "stride": -64}},
+     "pattern stride reaches PC or ADDR -0x4ac0, outside"),
+    (BOTH, {}, {"pattern": {"kind": "sequential", "start": 2 ** 64 - 4096}},
+     "reaches PC or ADDR 0x100000000000053c0, outside"),
+    (BOTH, {}, {"pattern": {"kind": "pc_delta", "streams": [
+        {"pc": 4, "start": 0, "delta": 64}, {"pc": -4, "start": 0, "delta": 64}]}},
+     "pattern pc_delta reaches PC or ADDR -0x4, outside"),
+    (BOTH, {}, {"pattern": {"kind": "pc_delta", "streams": [
+        {"pc": 4, "start": 64 * 150, "delta": -64}, {"pc": 8, "start": 0, "delta": 64}]}},
+     "pattern pc_delta reaches PC or ADDR -0xc40, outside"),
+    (BOTH, {}, {"pattern": phased({"spec": {"kind": "stride", "start": -64},
+                                   "length": 10})},
+     "pattern stride reaches PC or ADDR -0x40, outside"),
 ]
 
 
@@ -121,7 +142,7 @@ class TestGen:
         out = tmp_path / "seq.trace"
         assert run_cli("gen", "--pattern", "sequential", "--length", "100",
                        "--seed", "3", "--out", str(out)) == 0
-        events = parse_trace_file(str(out))
+        events = list(stream_trace_file(str(out)))
         assert len(events) == 100
         assert [e.addr for e in events[:3]] == [0, 64, 128]
 
@@ -215,11 +236,13 @@ class TestRun:
          "arsenal field bf_fpp must be float, got '0.01'"),
         ({"component_params": {"mlop": {"zones": "64"}}},
          "component_params.mlop field zones must be int, got '64'"),
-        ({"arsenal": {"component_params": {"tskid": {"lead": "4"}}}},
+        ({"component_params": {"tskid": {"lead": "4"}}},
          "component_params.tskid field lead must be int, got '4'"),
         ({"arsenal": {"eval_cnt": True}},
          "arsenal field eval_cnt must be int, got True"),
         ({"arsenal": [["eval_cnt", 512]]}, "arsenal must be an object"),
+        ({"arsenal": {"component_params": {"tskid": {"lead": "4"}}}},
+         "unknown arsenal fields: ['component_params']"),
     ])
     def test_malformed_config_is_one_error_line(self, tmp_path, capsys, steps,
                                                 fields, message):

@@ -2,8 +2,8 @@
 
 Each fast path is checked against a straightforward reference over random
 inputs: the set-backed Bloom filter against a bytearray bit table, the
-dict-order LRU tables against ascending stamp order, and SPP's memoised
-best slot against a fresh ``max`` over the pattern-table entry.
+dict-order LRU tables against a list of keys by last touch, and SPP's
+memoised best slot against a fresh ``max`` over the pattern-table entry.
 """
 
 from hypothesis import given, settings
@@ -85,10 +85,14 @@ def test_bloom_matches_bytearray_reference(capacity, fpp, seed, ops):
     assert [fast.query(x) for x in probes] == [ref.query(x) for x in probes]
 
 
-def assert_stamp_order(table: dict, stamp_index: int) -> None:
-    stamps = [entry[stamp_index] for entry in table.values()]
-    assert stamps == sorted(stamps)
-    assert len(set(stamps)) == len(stamps)
+def touch(keys: list, key, bound: int) -> None:
+    """The reference LRU: move ``key`` to the end of ``keys``, evicting the
+    first key when a new one would exceed ``bound``."""
+    if key in keys:
+        keys.remove(key)
+    elif len(keys) == bound:
+        del keys[0]
+    keys.append(key)
 
 
 cache_ops = st.lists(st.tuples(
@@ -100,19 +104,28 @@ cache_ops = st.lists(st.tuples(
 @PROPERTY
 @given(sets=st.sampled_from([1, 2, 4]), ways=st.integers(1, 4),
        delay=st.integers(0, 6), ops=cache_ops)
-def test_cache_sets_stay_in_stamp_order(sets, ways, delay, ops):
+def test_cache_sets_keep_touch_order(sets, ways, delay, ops):
     cache = SetAssociativeCache(CacheConfig(
         sets=sets, ways=ways, prefetch_fill_delay=delay, prefetch_queue_capacity=4))
+    ref = [[] for _ in range(sets)]
+    pending = {}  # accepted prefetch line -> fill seq, in enqueue order
+
+    def touched(line):
+        touch(ref[line % sets], line, ways)
+
     for seq, (line, prefetch, offset) in enumerate(ops):
         cache.fill_due(seq)
-        for lines in cache._sets:
-            assert_stamp_order(lines, 1)
+        for due in [pf for pf, fill_seq in pending.items() if fill_seq <= seq]:
+            del pending[due]
+            touched(due)
+        assert [list(lines) for lines in cache._sets] == ref
         cache.access(AccessEvent(0x400, line << 6, False, seq))
+        pending.pop(line, None)  # a demand to an in-flight line fills it now
+        touched(line)
         if prefetch and line + offset >= 0:
-            cache.enqueue_prefetch(line + offset, "spp", seq)
-        for lines in cache._sets:
-            assert_stamp_order(lines, 1)
-            assert len(lines) <= ways
+            if cache.enqueue_prefetch(line + offset, "spp", seq):
+                pending[line + offset] = seq + delay
+        assert [list(lines) for lines in cache._sets] == ref
 
 
 pae_stream = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 400)),
@@ -120,25 +133,28 @@ pae_stream = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 400)),
 
 
 def contexts(stream):
-    return [PaeContext(0x400 + 8 * pc, line, seq, "miss")
+    return [PaeContext(0x400 + 8 * pc, line, seq)
             for seq, (pc, line) in enumerate(stream)]
 
 
 @PROPERTY
 @given(size=st.integers(1, 5), stream=pae_stream)
-def test_prefetcher_tables_stay_in_stamp_order(size, stream):
+def test_prefetcher_tables_keep_touch_order(size, stream):
+    # (component, its LRU table, the key a PAE touches in it)
     tables = [
-        (IpStridePrefetcher(table_size=size), "table", 3),
-        (SppPrefetcher(st_entries=size, page_lines=16), "signature_table", 2),
-        (MlopPrefetcher(zones=size, zone_lines=16, round_paes=16), "zone_table", 2),
-        (TskidPrefetcher(table_size=size), "table", 4),
+        (IpStridePrefetcher(table_size=size), "table", lambda ctx: ctx.pc),
+        (SppPrefetcher(st_entries=size, page_lines=16), "signature_table",
+         lambda ctx: ctx.line // 16),
+        (MlopPrefetcher(zones=size, zone_lines=16, round_paes=16), "zone_table",
+         lambda ctx: ctx.line // 16),
+        (TskidPrefetcher(table_size=size), "table", lambda ctx: ctx.pc),
     ]
+    refs = [[] for _ in tables]
     for ctx in contexts(stream):
-        for component, attr, stamp_index in tables:
+        for (component, attr, key), ref in zip(tables, refs):
             component.on_pae(ctx)
-            table = getattr(component, attr)
-            assert_stamp_order(table, stamp_index)
-            assert len(table) <= size
+            touch(ref, key(ctx), size)
+            assert list(getattr(component, attr)) == ref
 
 
 def fresh_best_slot(spp: SppPrefetcher, sig: int):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from arsenal_sim import arsenal, harness
 from arsenal_sim.cache import CacheConfig
 from arsenal_sim.harness import (
     ENGINE_NAMES,
@@ -200,6 +201,31 @@ class TestCompare:
                    "length": 4000}]
         report = compare_engines(traces, policy="tc1", seed=3)
         assert report["engines"] == ["none", "tskid", "mlop", "arsenal-tc1"]
+
+    @pytest.mark.parametrize("policy,params", [
+        ("tc1", {"mlop": {"round_paes": 64}, "tskid": {"lead": 7}}),
+        ("tc2", {"spp": {"lookahead_depth": 3}, "ip_stride": {"table_size": 16},
+                 "next_line": {"max_degree": 3}}),
+    ])
+    def test_sandbox_and_standalone_share_component_params(self, monkeypatch,
+                                                           policy, params):
+        built = []  # (name, standalone, component)
+        build = arsenal.build_component
+
+        def spy(name, params, max_line, standalone=False):
+            component = build(name, params, max_line, standalone)
+            built.append((name, standalone, component))
+            return component
+
+        monkeypatch.setattr(arsenal, "build_component", spy)
+        monkeypatch.setattr(harness, "build_component", spy)
+        compare_engines([{"pattern": {"kind": "sequential"}, "length": 300}],
+                        policy=policy, component_params=params)
+        assert sorted((name, standalone) for name, standalone, _ in built) == \
+            sorted((name, standalone) for name in params for standalone in (False, True))
+        for name, _, component in built:
+            for key, value in params[name].items():
+                assert getattr(component, key) == value, (name, key)
 
 
 class TestExperimentFromDict:

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from arsenal_sim.cache import MISS, PREFETCH_HIT
 from arsenal_sim.prefetchers import (
     DEFAULT_MAX_LINE,
     IpStridePrefetcher,
@@ -15,8 +14,8 @@ from arsenal_sim.prefetchers import (
 )
 
 
-def ctx(line, seq=0, pc=0x400, kind=MISS):
-    return PaeContext(pc, line, seq, kind)
+def ctx(line, seq=0, pc=0x400):
+    return PaeContext(pc, line, seq)
 
 
 class TestNextLine:
@@ -357,8 +356,7 @@ class TestReplayDeterminism:
         for _ in range(3000):
             pc = 0x400 + rng.randrange(8) * 8
             line = rng.randrange(0, 64 * 64)
-            kind = MISS if rng.random() < 0.7 else PREFETCH_HIT
-            events.append(PaeContext(pc, line, seq, kind))
+            events.append(PaeContext(pc, line, seq))
             seq += rng.randrange(1, 4)
 
         def run():

@@ -1,10 +1,13 @@
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arsenal_sim.traces import (
     PatternSpec,
     TraceParseError,
+    check_address_range,
     generate,
     parse_trace,
     phase_boundaries,
@@ -216,3 +219,81 @@ class TestValidation:
         again = PatternSpec.from_dict(spec.to_dict())
         assert again == spec
         assert list(generate(again, 45)) == list(generate(spec, 45))
+
+
+TOP = 1 << 64
+# values a few steps from either edge of [0, 2**64), so whether a walk of
+# a few events crosses an edge, and at which event, depends on its length
+edges = st.integers(-6, 6).flatmap(lambda k: st.sampled_from(
+    [8 * k, 64 * k, TOP + 8 * k, TOP + 64 * k]))
+steps = st.sampled_from([8, -8, 64, -64])
+# a pool of one PC: PCs drawn from a larger pool are random, and the check
+# refuses a pool that holds any PC outside the range (see the cases below)
+flat_specs = st.one_of(
+    st.builds(lambda start, pc, pool: PatternSpec(
+        kind="sequential", start=start, pc=pc, pc_pool=pool),
+        edges, edges, st.integers(0, 1)),
+    st.builds(lambda start, pc, stride: PatternSpec(
+        kind="stride", start=start, pc=pc, stride=stride), edges, edges, steps),
+    st.builds(lambda streams: PatternSpec(kind="pc_delta", streams=streams),
+              st.lists(st.fixed_dictionaries(
+                  {"pc": edges, "start": edges, "delta": steps}),
+                  min_size=1, max_size=3)),
+)
+
+
+def leaves_range(spec, length):
+    return any((ev.pc | ev.addr) >> 64 for ev in generate(spec, length))
+
+
+def refused(spec, length):
+    try:
+        check_address_range(spec, length)
+    except ValueError as exc:
+        assert "outside [0, 2**64)" in str(exc)
+        return True
+    return False
+
+
+class TestAddressRange:
+    @settings(max_examples=300, deadline=None)
+    @given(specs=st.lists(st.tuples(flat_specs, st.integers(1, 8)),
+                          min_size=1, max_size=3),
+           phased=st.booleans(), length=st.integers(1, 24))
+    def test_refused_exactly_when_an_event_leaves_the_range(self, specs, phased,
+                                                            length):
+        spec = specs[0][0]
+        if phased:
+            spec = PatternSpec(kind="phased", segments=[
+                {"spec": flat.to_dict(), "length": n} for flat, n in specs])
+        assert refused(spec, length) == leaves_range(spec, length)
+
+    @pytest.mark.parametrize("kind", ["sequential", "random_working_set"])
+    @pytest.mark.parametrize("pc,pc_pool,ok", [
+        (0, 4, True), (-8, 4, False), (TOP - 32, 4, True), (TOP - 24, 4, False),
+        (TOP - 8, 0, True)])
+    def test_pc_pool_bounds(self, kind, pc, pc_pool, ok):
+        spec = PatternSpec(kind=kind, pc=pc, pc_pool=pc_pool, working_set_lines=1)
+        assert refused(spec, 1) != ok
+
+    @pytest.mark.parametrize("start,working_set_lines,ok", [
+        (0, 64, True), (-64, 64, False), (TOP - 64 * 64, 64, True),
+        (TOP - 64 * 64, 65, False)])
+    def test_working_set_bounds(self, start, working_set_lines, ok):
+        spec = PatternSpec(kind="random_working_set", start=start,
+                           working_set_lines=working_set_lines)
+        assert refused(spec, 10) != ok
+
+    @pytest.mark.parametrize("length,ok", [(4, True), (5, True), (6, False)])
+    def test_pc_delta_streams_take_turns(self, length, ok):
+        # of 5 events the first stream takes 3 and the second 2; of 6, 3 each
+        spec = PatternSpec(kind="pc_delta", streams=[
+            {"pc": 4, "start": 128, "delta": -64},
+            {"pc": 8, "start": TOP - 128, "delta": 64}])
+        assert refused(spec, length) != ok
+
+    def test_names_the_first_value_outside(self):
+        with pytest.raises(ValueError) as err:
+            check_address_range(PatternSpec(kind="sequential", start=-4096), 100)
+        assert str(err.value) == ("pattern sequential reaches PC or ADDR -0x1000, "
+                                  "outside [0, 2**64)")
