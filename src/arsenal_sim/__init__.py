@@ -6,89 +6,4 @@ filters, and a periodic selection rule deploys the best-scoring component
 to the real prefetch queue.
 """
 
-from .arsenal import (
-    Arsenal,
-    ArsenalConfig,
-    PrefetchRequest,
-    Selection,
-    build_components,
-    select_test_case_1,
-    select_test_case_2,
-)
-from .bloom import BloomFilter, BloomParams, ExactFilter, PairedFilter, derive_parameters
-from .cache import (
-    HIT,
-    LATE_PREFETCH_HIT,
-    MISS,
-    PREFETCH_HIT,
-    AccessEvent,
-    AccessOutcome,
-    CacheConfig,
-    SetAssociativeCache,
-    amat,
-)
-from .harness import (
-    ExperimentConfig,
-    Simulation,
-    build_engine,
-    compare_engines,
-    experiment_from_dict,
-    run_experiment,
-)
-from .metrics import compute_metrics, emit_report, overhead, overhead_for_test_case
-from .prefetchers import (
-    IpStridePrefetcher,
-    MlopPrefetcher,
-    NextLinePrefetcher,
-    PaeContext,
-    SppPrefetcher,
-    TskidPrefetcher,
-)
-from .traces import PatternSpec, TraceParseError, generate, parse_trace, write_trace
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AccessEvent",
-    "AccessOutcome",
-    "Arsenal",
-    "ArsenalConfig",
-    "BloomFilter",
-    "BloomParams",
-    "CacheConfig",
-    "ExactFilter",
-    "ExperimentConfig",
-    "HIT",
-    "IpStridePrefetcher",
-    "LATE_PREFETCH_HIT",
-    "MISS",
-    "MlopPrefetcher",
-    "NextLinePrefetcher",
-    "PREFETCH_HIT",
-    "PaeContext",
-    "PairedFilter",
-    "PatternSpec",
-    "PrefetchRequest",
-    "Selection",
-    "SetAssociativeCache",
-    "Simulation",
-    "SppPrefetcher",
-    "TraceParseError",
-    "TskidPrefetcher",
-    "amat",
-    "build_components",
-    "build_engine",
-    "compare_engines",
-    "compute_metrics",
-    "derive_parameters",
-    "emit_report",
-    "experiment_from_dict",
-    "generate",
-    "overhead",
-    "overhead_for_test_case",
-    "parse_trace",
-    "run_experiment",
-    "select_test_case_1",
-    "select_test_case_2",
-    "write_trace",
-]

@@ -135,8 +135,12 @@ class SetAssociativeCache:
     def access(self, event: AccessEvent) -> AccessOutcome:
         """Classify one demand access and update cache state.
 
-        Callers must drain due fills first (fill_due with the event's seq).
+        Every prefetch whose fill is due by the event's seq is installed
+        first (fill_due), so a line that lands at that seq is a prefetch hit.
         """
+        fifo = self._fifo
+        if fifo and fifo[0][1] <= event.seq:
+            self.fill_due(event.seq)
         line = event.addr >> self._shift
         lines = self._sets[line & self._set_mask]
         entry = lines.pop(line, None)

@@ -3,9 +3,10 @@
 An engine is anything with ``on_pae(ctx) -> list[PrefetchRequest]`` and
 ``describe() -> dict``: the meta-prefetcher, a single component running
 standalone with fixed aggressiveness, or the no-prefetch baseline. The
-simulation drives each demand access through due-fill draining, cache
-classification and, on a PAE, the engine; accepted requests enter the
-cache's prefetch queue tagged with their source component.
+simulation drives each demand access through the cache, which installs
+the prefetches due by then and classifies the access, and, on a PAE,
+through the engine; accepted requests enter the cache's prefetch queue
+tagged with their source component.
 """
 
 import inspect
@@ -181,10 +182,9 @@ class Simulation:
 
     def step(self, event: AccessEvent):
         cache = self.cache
-        seq = event.seq
-        cache.fill_due(seq)
         outcome = cache.access(event)
         if outcome.is_pae:
+            seq = event.seq
             self.pae_count += 1
             ctx = PaeContext(event.pc, event.addr >> self._line_shift, seq)
             requests = self.engine.on_pae(ctx)

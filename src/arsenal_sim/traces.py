@@ -31,6 +31,7 @@ class TraceParseError(ValueError):
 
 def parse_trace(stream: Iterable[str]) -> Iterator[AccessEvent]:
     """Yield AccessEvents from a text trace, assigning seq 0, 1, 2, ..."""
+    new = tuple.__new__  # skips the NamedTuple's Python-level __new__
     seq = 0
     for line_number, raw in enumerate(stream, start=1):
         line = raw.strip()
@@ -50,7 +51,7 @@ def parse_trace(stream: Iterable[str]) -> Iterator[AccessEvent]:
         op = parts[2].upper()
         if op not in ("R", "W"):
             raise TraceParseError(line_number, f"op must be R or W, got {parts[2]!r}")
-        yield AccessEvent(pc, addr, op == "W", seq)
+        yield new(AccessEvent, (pc, addr, op == "W", seq))
         seq += 1
 
 
@@ -132,6 +133,8 @@ class PatternSpec:
         for stream in self.streams:
             check_fields("pattern stream", stream, _STREAM_DEFAULTS,
                          required=_STREAM_DEFAULTS)
+        if self.line_size < 1:
+            raise ValueError("line_size must be >= 1")
         if self.kind == RANDOM_WORKING_SET and self.working_set_lines < 1:
             raise ValueError("working_set_lines must be >= 1")
         if self.kind == PHASED:
@@ -170,36 +173,56 @@ def _pc_pool(spec: PatternSpec) -> list[int]:
 
 def _generate_flat(spec: PatternSpec, length: int, seq_base: int,
                    rng: random.Random) -> Iterator[AccessEvent]:
+    # tuple.__new__ skips the NamedTuple's Python-level __new__. Each draw
+    # is rng.randrange(n) inlined: CPython's rejection draw of
+    # n.bit_length() bits, redrawn while >= n (bits are drawn for n == 1
+    # too), so the traces stay those of randrange; tests pin the two.
+    new = tuple.__new__
+    getrandbits = rng.getrandbits
     kind = spec.kind
+    seqs = range(seq_base, seq_base + length)
     if kind == SEQUENTIAL:
         pool = _pc_pool(spec)
+        n_pcs = len(pool)
+        pc_bits = n_pcs.bit_length()
         addr = spec.start
         step = spec.line_size
-        for i in range(length):
-            yield AccessEvent(pool[rng.randrange(len(pool))], addr, False, seq_base + i)
+        for seq in seqs:
+            p = getrandbits(pc_bits)
+            while p >= n_pcs:
+                p = getrandbits(pc_bits)
+            yield new(AccessEvent, (pool[p], addr, False, seq))
             addr += step
     elif kind == STRIDE:
-        addr = spec.start
-        for i in range(length):
-            yield AccessEvent(spec.pc, addr, False, seq_base + i)
-            addr += spec.stride
+        pc, addr, stride = spec.pc, spec.start, spec.stride
+        for seq in seqs:
+            yield new(AccessEvent, (pc, addr, False, seq))
+            addr += stride
     elif kind == RANDOM_WORKING_SET:
         pool = _pc_pool(spec)
+        n_pcs = len(pool)
+        pc_bits = n_pcs.bit_length()
         base_line = spec.start // spec.line_size
         ws = spec.working_set_lines
+        ws_bits = ws.bit_length()
         wf = spec.write_fraction
         lsz = spec.line_size
-        for i in range(length):
-            line = base_line + rng.randrange(ws)
-            is_write = wf > 0.0 and rng.random() < wf
-            yield AccessEvent(pool[rng.randrange(len(pool))], line * lsz,
-                              is_write, seq_base + i)
+        rand = rng.random
+        for seq in seqs:
+            r = getrandbits(ws_bits)
+            while r >= ws:
+                r = getrandbits(ws_bits)
+            is_write = wf > 0.0 and rand() < wf
+            p = getrandbits(pc_bits)
+            while p >= n_pcs:
+                p = getrandbits(pc_bits)
+            yield new(AccessEvent, (pool[p], (base_line + r) * lsz, is_write, seq))
     else:  # PC_DELTA: validate leaves no other kind here
         cursors = [[s["pc"], s["start"], s["delta"]] for s in spec.streams]
         n = len(cursors)
-        for i in range(length):
+        for i, seq in enumerate(seqs):
             cur = cursors[i % n]
-            yield AccessEvent(cur[0], cur[1], False, seq_base + i)
+            yield new(AccessEvent, (cur[0], cur[1], False, seq))
             cur[1] += cur[2]
 
 

@@ -149,6 +149,16 @@ class TestFillDue:
         assert c.fill_due(90) == 1
         assert c.is_resident(3)
 
+    def test_access_installs_the_fills_due_at_its_seq(self):
+        # line 9 is enqueued at seq 0 (fill due at 40); no fill_due call
+        c = make_cache()
+        assert c.enqueue_prefetch(9, "nl", 0)
+        out = c.access(ev(9, 40))
+        assert out.kind == PREFETCH_HIT
+        assert c.filled_by_source == {"nl": 1}
+        assert c.useful_by_source == {"nl": 1}
+        assert c.in_flight_count == 0
+
 
 class TestAmat:
     def test_all_hits(self):

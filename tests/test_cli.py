@@ -116,6 +116,14 @@ MALFORMED = [
     (BOTH, {}, {"pattern": phased({"spec": {"kind": "stride", "start": -64},
                                    "length": 10})},
      "pattern stride reaches PC or ADDR -0x40, outside"),
+    (BOTH, {}, {"pattern": {"kind": "sequential", "line_size": 0}},
+     "line_size must be >= 1"),
+    (BOTH, {}, {"pattern": {"kind": "sequential", "line_size": -64}},
+     "line_size must be >= 1"),
+    (BOTH, {}, {"pattern": {"kind": "random_working_set", "line_size": 0}},
+     "line_size must be >= 1"),
+    (BOTH, {}, {"pattern": {"kind": "random_working_set", "line_size": -1}},
+     "line_size must be >= 1"),
 ]
 
 

@@ -1,9 +1,11 @@
 import io
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arsenal_sim.cache import AccessEvent
 from arsenal_sim.traces import (
     PatternSpec,
     TraceParseError,
@@ -199,6 +201,10 @@ class TestValidation:
         ({"kind": "pc_delta", "streams": [{"pc": 4, "start": 0, "delta": 64},
                                           {"pc": 8, "start": 0}]},
          "missing pattern stream fields: ['delta']"),
+        ({"kind": "sequential", "line_size": 0}, "line_size must be >= 1"),
+        ({"kind": "sequential", "line_size": -64}, "line_size must be >= 1"),
+        ({"kind": "random_working_set", "line_size": 0}, "line_size must be >= 1"),
+        ({"kind": "random_working_set", "line_size": -1}, "line_size must be >= 1"),
     ])
     def test_from_dict_rejects_malformed_parts(self, data, message):
         with pytest.raises(ValueError) as err:
@@ -219,6 +225,47 @@ class TestValidation:
         again = PatternSpec.from_dict(spec.to_dict())
         assert again == spec
         assert list(generate(again, 45)) == list(generate(spec, 45))
+
+
+def randrange_flat(spec, length):
+    """Events of a flat sequential or random_working_set pattern, drawn with
+    rng.randrange as generation did before its draws were inlined: the
+    reference the inlined draws must match bit for bit."""
+    rng = random.Random(spec.seed)
+    pool = [spec.pc + 8 * i for i in range(max(1, spec.pc_pool))]
+    if spec.kind == "sequential":
+        addr = spec.start
+        for i in range(length):
+            yield AccessEvent(pool[rng.randrange(len(pool))], addr, False, i)
+            addr += spec.line_size
+        return
+    base_line = spec.start // spec.line_size
+    wf = spec.write_fraction
+    for i in range(length):
+        line = base_line + rng.randrange(spec.working_set_lines)
+        is_write = wf > 0.0 and rng.random() < wf
+        yield AccessEvent(pool[rng.randrange(len(pool))], line * spec.line_size,
+                          is_write, i)
+
+
+class TestInlinedDraws:
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(["sequential", "random_working_set"]),
+           seed=st.integers(0, 2 ** 64),
+           pc_pool=st.one_of(st.sampled_from([1, 2, 4, 8, 16, 32, 64]),
+                             st.integers(1, 64)),
+           working_set_lines=st.one_of(st.sampled_from([1, 2, 512, 4096]),
+                                       st.integers(1, 5000)),
+           write_fraction=st.sampled_from([0.0, 0.3, 1.0]),
+           length=st.integers(1, 600))
+    def test_generate_matches_randrange(self, kind, seed, pc_pool,
+                                        working_set_lines, write_fraction, length):
+        spec = PatternSpec(kind=kind, start=1 << 20, pc_pool=pc_pool,
+                           working_set_lines=working_set_lines,
+                           write_fraction=write_fraction, seed=seed)
+        events = list(generate(spec, length))
+        assert events == list(randrange_flat(spec, length))
+        assert all(type(event) is AccessEvent for event in events)
 
 
 TOP = 1 << 64
