@@ -67,12 +67,6 @@ class PrefetchRequest(NamedTuple):
     source: str
 
 
-class Selection(NamedTuple):
-    chosen: Optional[str]
-    phase_index: int
-    decided_at: int
-
-
 @dataclass
 class ArsenalConfig:
     """Sandbox thresholds; defaults follow the published operating point."""
@@ -95,6 +89,8 @@ class ArsenalConfig:
             raise ValueError(f"unknown filter kind: {self.filter_kind!r}")
         if self.eval_cnt < 1:
             raise ValueError("eval_cnt must be >= 1")
+        if self.score_inc < 0 or self.score_dec < 0:
+            raise ValueError("score_inc and score_dec must be >= 0")
         if self.bf_est_cap < 1 or not (0.0 < self.bf_fpp < 1.0):
             raise ValueError("bad bloom filter parameters")
         return self
@@ -158,8 +154,7 @@ class Arsenal:
 
     def __init__(self, config: ArsenalConfig | None = None,
                  component_params: dict | None = None,
-                 max_line: int = DEFAULT_MAX_LINE,
-                 record_log: bool = False):
+                 max_line: int = DEFAULT_MAX_LINE):
         self.config = (config or ArsenalConfig()).validate()
         self.components = components = build_components(
             self.config.selection_policy, component_params, max_line)
@@ -176,21 +171,16 @@ class Arsenal:
         # rows are the scoreboard's own lists, so both views stay in step
         self._rows = [(name, components[name], self.filters[name],
                        self.scoreboard[name]) for name in self.names]
-        self.selection = Selection(None, 0, 0)
+        self.chosen: Optional[str] = None   # the deployed component
         self.selection_timeline: list[dict] = []
         self.total_candidates = {name: 0 for name in self.names}
-        self.record_log = record_log
-        self.pae_log: list[dict] = []
 
-    def score_demand(self, line: int, _record: dict | None = None) -> None:
+    def score_demand(self, line: int) -> None:
         """Score the demanded line against every filter."""
         inc = self.config.score_inc
         dec = self.config.score_dec
-        for name, _, f, sb in self._rows:
-            result = f.query(line)
-            if _record is not None:
-                _record[name] = (result, getattr(f, "last_query_was_fp", False))
-            if result:
+        for _, _, f, sb in self._rows:
+            if f.query(line):
                 score = sb[2] + inc
                 sb[2] = score if score < SCORE_MAX else SCORE_MAX
             else:
@@ -198,16 +188,9 @@ class Arsenal:
                 sb[2] = score if score > 0 else 0
 
     def on_pae(self, ctx: PaeContext) -> list[PrefetchRequest]:
-        eval_cap = self.config.eval_cnt
-        log_entry = None
-        if self.record_log:
-            log_entry = {"seq": ctx.seq, "line": ctx.line,
-                         "queries": {}, "candidates": {}, "decision": None}
-            self.score_demand(ctx.line, log_entry["queries"])
-        else:
-            self.score_demand(ctx.line)
+        self.score_demand(ctx.line)
 
-        selected = self.selection.chosen
+        selected = self.chosen
         totals = self.total_candidates
         live: list[int] = []
         for name, component, f, sb in self._rows:
@@ -223,19 +206,12 @@ class Arsenal:
                     insert(c)
                 if name == selected:
                     live = candidates
-            if log_entry is not None:
-                log_entry["candidates"][name] = tuple(candidates)
 
         out = [PrefetchRequest(line, selected) for line in live]
 
         # the rows' evaluation counters move together; sb is the last row's
-        if sb[0] >= eval_cap:
+        if sb[0] >= self.config.eval_cnt:
             self._decide(ctx.seq)
-            if log_entry is not None:
-                log_entry["decision"] = self.selection.chosen
-        if log_entry is not None:
-            log_entry["scores"] = self.scores()
-            self.pae_log.append(log_entry)
         return out
 
     def _decide(self, decided_at: int) -> None:
@@ -244,21 +220,20 @@ class Arsenal:
         counters = {name: sb[1] for name, _, _, sb in self._rows}
         evals = {name: sb[0] for name, _, _, sb in self._rows}
         if cfg.selection_policy == TEST_CASE_1:
-            chosen = select_test_case_1(scores, counters, self.selection.chosen,
+            chosen = select_test_case_1(scores, counters, self.chosen,
                                         cfg.tskid_selection_attempt)
         else:
             chosen = select_test_case_2(scores, cfg.min_score,
                                         cfg.next_line_min_score)
-        phase_index = self.selection.phase_index + 1
         self.selection_timeline.append({
-            "phase_index": phase_index,
+            "phase_index": len(self.selection_timeline) + 1,
             "decided_at": decided_at,
             "chosen": chosen,
             "scores": scores,
             "prefetch_counters": counters,
             "eval_counters": evals,
         })
-        self.selection = Selection(chosen, phase_index, decided_at)
+        self.chosen = chosen
         self.phase_reset()
 
     def phase_reset(self) -> None:
@@ -280,13 +255,6 @@ class Arsenal:
             "selection_policy": cfg.selection_policy,
             "components": list(self.names),
             "filter_kind": cfg.filter_kind,
-            "score_inc": cfg.score_inc,
-            "score_dec": cfg.score_dec,
-            "min_score": cfg.min_score,
-            "next_line_min_score": cfg.next_line_min_score,
-            "eval_cnt": cfg.eval_cnt,
-            "tskid_selection_attempt": cfg.tskid_selection_attempt,
-            "bf_fpp": cfg.bf_fpp,
-            "bf_est_cap": cfg.bf_est_cap,
-            "master_seed": cfg.master_seed,
+            **{key: value for key, value in vars(cfg).items()
+               if key not in ("selection_policy", "filter_kind")},
         }

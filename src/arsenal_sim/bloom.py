@@ -134,43 +134,35 @@ class BloomFilter:
 class ExactFilter:
     """Drop-in exact-set replacement for BloomFilter (ground truth)."""
 
-    __slots__ = ("members", "inserted_count")
+    __slots__ = ("members",)
 
     def __init__(self):
         self.members: set[int] = set()
-        self.inserted_count = 0
 
     def insert(self, element: int) -> None:
         self.members.add(element)
-        self.inserted_count += 1
 
     def query(self, element: int) -> bool:
         return element in self.members
 
     def clear(self) -> None:
         self.members.clear()
-        self.inserted_count = 0
 
 
 class PairedFilter:
     """Bloom filter answering queries, with an exact set riding along.
 
     Queries return the bloom answer (so behaviour matches a bloom-only run
-    bit for bit) while the exact set flags false-positive probes, which is
+    bit for bit) while the exact set counts false-positive probes, which is
     what bounds any score inflation.
     """
 
-    __slots__ = ("bloom", "exact", "false_positive_probes", "last_query_was_fp")
+    __slots__ = ("bloom", "exact", "false_positive_probes")
 
     def __init__(self, capacity: int = 2000, fpp: float = 0.01, seed: int = 0):
         self.bloom = BloomFilter(capacity, fpp, seed)
         self.exact = ExactFilter()
         self.false_positive_probes = 0
-        self.last_query_was_fp = False
-
-    @property
-    def inserted_count(self) -> int:
-        return self.bloom.inserted_count
 
     def insert(self, element: int) -> None:
         self.bloom.insert(element)
@@ -178,8 +170,7 @@ class PairedFilter:
 
     def query(self, element: int) -> bool:
         answer = self.bloom.query(element)
-        self.last_query_was_fp = answer and not self.exact.query(element)
-        if self.last_query_was_fp:
+        if answer and not self.exact.query(element):
             self.false_positive_probes += 1
         return answer
 

@@ -36,6 +36,8 @@ class NextLinePrefetcher:
                  degree_divisor: int = 512, max_line: int = DEFAULT_MAX_LINE):
         if not (1 <= degree <= max_degree):
             raise ValueError("degree out of range")
+        if degree_divisor < 1:
+            raise ValueError("degree_divisor must be >= 1")
         self.degree = degree
         self.max_degree = max_degree
         self.degree_divisor = degree_divisor
@@ -131,8 +133,11 @@ class SppPrefetcher:
                  ghr_entries: int = 8, lookahead_depth: int = 8,
                  confidence_threshold: float = 0.25,
                  page_lines: int = 64, max_line: int = DEFAULT_MAX_LINE):
-        if st_entries < 1:
-            raise ValueError("st_entries must be >= 1")
+        for key, value in (("st_entries", st_entries), ("pt_entries", pt_entries),
+                           ("pt_slots", pt_slots), ("ghr_entries", ghr_entries),
+                           ("page_lines", page_lines)):
+            if value < 1:
+                raise ValueError(f"{key} must be >= 1")
         self.st_entries = st_entries
         self.pt_entries = pt_entries
         self.pt_slots = pt_slots
@@ -287,6 +292,8 @@ class MlopPrefetcher:
                  zone_lines: int = 64, max_line: int = DEFAULT_MAX_LINE):
         if zones < 1:
             raise ValueError("zones must be >= 1")
+        if zone_lines < 1:
+            raise ValueError("zone_lines must be >= 1")
         self.zones = zones
         self.levels = levels
         self.max_offset = max_offset

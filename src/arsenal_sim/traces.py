@@ -167,10 +167,6 @@ class PatternSpec:
         return cls(**data).validate()
 
 
-def _pc_pool(spec: PatternSpec) -> list[int]:
-    return [spec.pc + 8 * i for i in range(max(1, spec.pc_pool))]
-
-
 def _generate_flat(spec: PatternSpec, length: int, seq_base: int,
                    rng: random.Random) -> Iterator[AccessEvent]:
     # tuple.__new__ skips the NamedTuple's Python-level __new__. Each draw
@@ -182,8 +178,8 @@ def _generate_flat(spec: PatternSpec, length: int, seq_base: int,
     kind = spec.kind
     seqs = range(seq_base, seq_base + length)
     if kind == SEQUENTIAL:
-        pool = _pc_pool(spec)
-        n_pcs = len(pool)
+        pc = spec.pc
+        n_pcs = max(1, spec.pc_pool)
         pc_bits = n_pcs.bit_length()
         addr = spec.start
         step = spec.line_size
@@ -191,7 +187,7 @@ def _generate_flat(spec: PatternSpec, length: int, seq_base: int,
             p = getrandbits(pc_bits)
             while p >= n_pcs:
                 p = getrandbits(pc_bits)
-            yield new(AccessEvent, (pool[p], addr, False, seq))
+            yield new(AccessEvent, (pc + 8 * p, addr, False, seq))
             addr += step
     elif kind == STRIDE:
         pc, addr, stride = spec.pc, spec.start, spec.stride
@@ -199,8 +195,8 @@ def _generate_flat(spec: PatternSpec, length: int, seq_base: int,
             yield new(AccessEvent, (pc, addr, False, seq))
             addr += stride
     elif kind == RANDOM_WORKING_SET:
-        pool = _pc_pool(spec)
-        n_pcs = len(pool)
+        pc = spec.pc
+        n_pcs = max(1, spec.pc_pool)
         pc_bits = n_pcs.bit_length()
         base_line = spec.start // spec.line_size
         ws = spec.working_set_lines
@@ -216,7 +212,7 @@ def _generate_flat(spec: PatternSpec, length: int, seq_base: int,
             p = getrandbits(pc_bits)
             while p >= n_pcs:
                 p = getrandbits(pc_bits)
-            yield new(AccessEvent, (pool[p], (base_line + r) * lsz, is_write, seq))
+            yield new(AccessEvent, (pc + 8 * p, (base_line + r) * lsz, is_write, seq))
     else:  # PC_DELTA: validate leaves no other kind here
         cursors = [[s["pc"], s["start"], s["delta"]] for s in spec.streams]
         n = len(cursors)
@@ -256,8 +252,7 @@ def _flat_bounds(spec: PatternSpec, n: int) -> Iterator[int]:
     if kind == STRIDE:
         yield spec.pc
     else:
-        pool = _pc_pool(spec)
-        yield from (pool[0], pool[-1])
+        yield from (spec.pc, spec.pc + 8 * (max(1, spec.pc_pool) - 1))
     if kind == RANDOM_WORKING_SET:
         lsz = spec.line_size
         base = spec.start // lsz * lsz

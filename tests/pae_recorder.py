@@ -1,0 +1,57 @@
+"""A per-PAE log of an Arsenal sandbox, kept by wrapping it from outside.
+
+The sandbox keeps no log of its own; the tests that replay one against a
+brute-force oracle build it here.
+"""
+
+from arsenal_sim.bloom import PairedFilter
+
+
+def record_paes(arsenal) -> list[dict]:
+    """Wrap ``arsenal.on_pae`` and each of its components' ``on_pae`` so that
+    every later PAE appends one record to the returned list:
+
+    - ``line``: the demanded line
+    - ``candidates``: each component's candidates, as a tuple
+    - ``queries``: for each paired filter, ``(answer, fp)`` for the line:
+      the bloom answer that scores it and whether that answer is a false
+      positive. Read before the PAE, as ``score_demand`` runs first and so
+      sees the same filter state.
+    - ``scores``: ``arsenal.scores()`` after the PAE
+
+    The recorder's false-positive tally must equal each paired filter's
+    ``false_positive_probes`` after every PAE.
+    """
+    log: list[dict] = []
+    candidates: dict[str, tuple] = {}
+    paired = {name: f for name, f in arsenal.filters.items()
+              if isinstance(f, PairedFilter)}
+    fp_tally = {name: f.false_positive_probes for name, f in paired.items()}
+
+    for name, component in arsenal.components.items():
+        def component_on_pae(ctx, name=name, inner=component.on_pae):
+            out = inner(ctx)
+            candidates[name] = tuple(out)
+            return out
+        component.on_pae = component_on_pae
+
+    inner = arsenal.on_pae
+
+    def on_pae(ctx):
+        line = ctx.line
+        queries = {}
+        for name, f in paired.items():
+            answer = f.bloom.query(line)
+            fp = answer and not f.exact.query(line)
+            queries[name] = (answer, fp)
+            fp_tally[name] += fp
+        candidates.clear()
+        out = inner(ctx)
+        for name, f in paired.items():
+            assert f.false_positive_probes == fp_tally[name]
+        log.append({"line": line, "candidates": dict(candidates),
+                    "queries": queries, "scores": arsenal.scores()})
+        return out
+
+    arsenal.on_pae = on_pae
+    return log

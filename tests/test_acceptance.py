@@ -30,6 +30,7 @@ from arsenal_sim.harness import (
 from arsenal_sim.metrics import overhead_for_test_case, to_json
 from arsenal_sim.prefetchers import PaeContext
 from arsenal_sim.traces import PatternSpec, phase_boundaries
+from pae_recorder import record_paes
 
 
 def _passline(n, msg):
@@ -191,24 +192,26 @@ def test_criterion_5_oracle_scoring_equivalence():
 
         # exact-set filters: scores must equal the brute-force recomputation
         exact = Arsenal(ArsenalConfig(selection_policy=policy,
-                                      filter_kind="exact"), record_log=True)
+                                      filter_kind="exact"))
+        exact_log = record_paes(exact)
         sim = Simulation(CacheConfig(), exact)
         sim.run(events)
-        per_pae, snapshots = _replay_exact(exact.pae_log, exact.names,
+        per_pae, snapshots = _replay_exact(exact_log, exact.names,
                                            eval_cnt, 4, 1)
-        assert [rec["scores"] for rec in exact.pae_log] == per_pae
+        assert [rec["scores"] for rec in exact_log] == per_pae
         assert [d["scores"] for d in exact.selection_timeline] == snapshots
 
         # bloom filters: divergence only upward and only at fp probes
         paired = Arsenal(ArsenalConfig(selection_policy=policy,
-                                       filter_kind="paired"), record_log=True)
+                                       filter_kind="paired"))
+        paired_log = record_paes(paired)
         sim2 = Simulation(CacheConfig(), paired)
         sim2.run(events)
         members = {n: set() for n in paired.names}
         exact_scores = {n: 0 for n in paired.names}
         fp_in_phase = {n: 0 for n in paired.names}
         paes = 0
-        for rec in paired.pae_log:
+        for rec in paired_log:
             for n in paired.names:
                 answer, fp = rec["queries"][n]
                 truly_member = rec["line"] in members[n]

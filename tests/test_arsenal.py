@@ -19,6 +19,7 @@ from arsenal_sim.arsenal import (
     select_test_case_2,
 )
 from arsenal_sim.prefetchers import PaeContext
+from pae_recorder import record_paes
 
 
 def ctx(line, seq, pc=0x400):
@@ -134,7 +135,7 @@ class TestOnPae:
     def test_selected_component_candidates_are_forwarded(self):
         a = tc2_arsenal()
         a.components[NEXT_LINE].degree = 5
-        a.selection = a.selection._replace(chosen=NEXT_LINE)
+        a.chosen = NEXT_LINE
         out = a.on_pae(ctx(100, 7))
         assert [r.line for r in out] == [101, 102, 103, 104, 105]
         assert all(r.source == NEXT_LINE for r in out)
@@ -225,9 +226,9 @@ class TestPhaseReset:
         for i in range(16 * 6):
             a.on_pae(ctx(i, i, pc=0x400 + (i % 4) * 8))
         chosen = [d["chosen"] for d in a.selection_timeline]
-        assert a.selection.chosen == chosen[-1]
+        assert a.chosen == chosen[-1]
         # between decisions, on_pae output source matches the live selection
-        live = a.selection.chosen
+        live = a.chosen
         out = a.on_pae(ctx(10_000, 10_000))
         if out:
             assert all(r.source == live for r in out)
@@ -259,24 +260,26 @@ class TestOracleEquivalence:
     def test_exact_filters_match_brute_force(self):
         rng = random.Random(77)
         a = Arsenal(ArsenalConfig(selection_policy="tc2", filter_kind="exact",
-                                  eval_cnt=64), record_log=True)
+                                  eval_cnt=64))
+        log = record_paes(a)
         for seq in range(640):
             a.on_pae(ctx(rng.randrange(2048), seq, pc=0x400 + rng.randrange(8) * 8))
-        want = self._brute_force_scores(a.pae_log, a.names, 64)
+        want = self._brute_force_scores(log, a.names, 64)
         got = [d["scores"] for d in a.selection_timeline]
         assert got == want
 
     def test_bloom_scores_only_inflate_at_false_positives(self):
         rng = random.Random(78)
         a = Arsenal(ArsenalConfig(selection_policy="tc2", filter_kind="paired",
-                                  eval_cnt=64), record_log=True)
+                                  eval_cnt=64))
+        log = record_paes(a)
         for seq in range(640):
             a.on_pae(ctx(rng.randrange(2048), seq, pc=0x400 + rng.randrange(8) * 8))
         # step through the log: wherever no fp probe hit a component, its
         # bloom answer equals exact membership, so any divergence is fp-tagged
         members = {n: set() for n in a.names}
         paes = 0
-        for rec in a.pae_log:
+        for rec in log:
             for n in a.names:
                 answer, fp = rec["queries"][n]
                 exact = rec["line"] in members[n]

@@ -155,9 +155,11 @@ class TestExactAndPaired:
             pf.insert(rng.randrange(1 << 20))
         fp = 0
         for x in range(2_000_000, 2_010_000):
+            before = pf.false_positive_probes
             answer = pf.query(x)
             if answer:
-                assert pf.last_query_was_fp  # absent element, so any hit is an fp
+                # absent element, so any hit is an fp
+                assert pf.false_positive_probes == before + 1
                 fp += 1
         assert pf.false_positive_probes == fp
         assert fp > 0  # at this sizing some fps are expected
@@ -168,7 +170,7 @@ class TestExactAndPaired:
             pf.insert(x)
         for x in range(100):
             assert pf.query(x)
-            assert not pf.last_query_was_fp
+            assert pf.false_positive_probes == 0
         assert pf.false_positive_probes == 0
 
     def test_make_filter_kinds(self):

@@ -124,6 +124,26 @@ MALFORMED = [
      "line_size must be >= 1"),
     (BOTH, {}, {"pattern": {"kind": "random_working_set", "line_size": -1}},
      "line_size must be >= 1"),
+    (BOTH, {"arsenal": {"score_inc": -5}}, {},
+     "score_inc and score_dec must be >= 0"),
+    (BOTH, {"arsenal": {"score_dec": -3, "eval_cnt": 4000}}, {},
+     "score_inc and score_dec must be >= 0"),
+    (BOTH, {"component_params": {"next_line": {"degree_divisor": 0}}}, {},
+     "degree_divisor must be >= 1"),
+    (BOTH, {"component_params": {"spp": {"pt_entries": 0}}}, {},
+     "pt_entries must be >= 1"),
+    (BOTH, {"component_params": {"spp": {"page_lines": 0}}}, {},
+     "page_lines must be >= 1"),
+    (BOTH, {"component_params": {"spp": {"ghr_entries": 0}}}, {},
+     "ghr_entries must be >= 1"),
+    (BOTH, {"component_params": {"spp": {"pt_slots": 0}}}, {},
+     "pt_slots must be >= 1"),
+    (("run",), {"engine": "arsenal-tc1",
+                "component_params": {"mlop": {"zone_lines": 0}}}, {},
+     "zone_lines must be >= 1"),
+    (("compare",), {"policy": "tc1",
+                    "component_params": {"mlop": {"zone_lines": 0}}}, {},
+     "zone_lines must be >= 1"),
 ]
 
 

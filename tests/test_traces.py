@@ -1,5 +1,6 @@
 import io
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -322,6 +323,22 @@ class TestAddressRange:
     def test_pc_pool_bounds(self, kind, pc, pc_pool, ok):
         spec = PatternSpec(kind=kind, pc=pc, pc_pool=pc_pool, working_set_lines=1)
         assert refused(spec, 1) != ok
+
+    @pytest.mark.parametrize("kind", ["sequential", "random_working_set"])
+    def test_pc_pool_costs_no_memory_per_pc(self, kind):
+        # the pool's bounds and draws need only its first PC and its size
+        spec = PatternSpec(kind=kind, pc_pool=10 ** 6, seed=3)
+        tracemalloc.start()
+        try:
+            check_address_range(spec, 10)
+            events = list(generate(spec, 10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(events) == 10
+        assert all(e.pc % 8 == spec.pc % 8 and
+                   spec.pc <= e.pc < spec.pc + 8 * 10 ** 6 for e in events)
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("start,working_set_lines,ok", [
         (0, 64, True), (-64, 64, False), (TOP - 64 * 64, 64, True),
