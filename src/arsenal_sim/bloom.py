@@ -107,12 +107,12 @@ class BloomFilter:
         x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
         h2 = (x ^ (x >> 31)) | 1
-        # (h1 + i*h2) mod m, with h1 and h2 reduced first so that the
-        # progression runs on small ints; the positions are the same
+        # (h1 + i*h2) mod m over small ints: h1 and h2 reduced first, and a
+        # step of m where h2 % m == 0; the positions are the same
         m = self._m
         a = h1 % m
-        b = h2 % m
-        pos = tuple([(a + i * b) % m for i in range(self._k)])
+        b = h2 % m or m
+        pos = tuple([p % m for p in range(a, a + self._k * b, b)])
         self._positions[element] = pos
         return pos
 

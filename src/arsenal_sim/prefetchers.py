@@ -245,11 +245,15 @@ class SppPrefetcher:
         threshold = self.confidence_threshold
         page_lines = self.page_lines
         page_base = page * page_lines
+        best, pt_entries = self._best, self.pt_entries
+        shift, mask = self.SIG_SHIFT, self.SIG_MASK
         confidence = 1.0
         out = []
         depth = 0
         while depth < self.lookahead_depth:
-            found = self._best_slot(sig)
+            found = best.get(sig % pt_entries, _UNSET)
+            if found is _UNSET:
+                found = self._best_slot(sig)
             if found is None:
                 break
             delta, c_delta, c_sig = found
@@ -268,7 +272,8 @@ class SppPrefetcher:
                 break
             out.append(cand)
             depth += 1
-            sig = self._update_signature(sig, delta)
+            # _update_signature with _encode_delta, inlined
+            sig = ((sig << shift) ^ (0x40 | -delta if delta < 0 else delta)) & mask
             offset = nxt
         if depth > self.max_chain_depth:
             self.max_chain_depth = depth
@@ -276,15 +281,16 @@ class SppPrefetcher:
 
 
 class MlopPrefetcher:
-    """Offset scorer over per-zone access bitmaps with lookahead levels.
+    """Offset scorer over sparse per-zone touch stamps with lookahead levels.
 
-    Each 4 KiB zone keeps a 64-bit touch bitmap and per-line touch times.
+    Each zone maps its touched lines to the PAE count at their last touch.
     For a trigger at in-zone index x, offset o earns a point at lookahead
     level l when line x-o was touched at least l PAEs ago (the offset would
-    have predicted this access l-or-more triggers in advance). Every ROUND
-    triggers, the best offset per level (ties: smaller magnitude, positive
-    first) is selected if it clears the score threshold; the deduplicated
-    selection is what gets emitted until the next round completes.
+    have predicted this access l-or-more triggers in advance): scores[o][a]
+    counts touches at age a capped at levels, and level l's score is the sum
+    over a >= l. Every ROUND triggers, the best offset per level (ties:
+    smaller magnitude, positive first) is selected if it clears the score
+    threshold; the deduplicated selection is emitted until the next round.
     """
 
     def __init__(self, zones: int = 64, levels: int = 8, max_offset: int = 16,
@@ -294,6 +300,8 @@ class MlopPrefetcher:
             raise ValueError("zones must be >= 1")
         if zone_lines < 1:
             raise ValueError("zone_lines must be >= 1")
+        if levels < 1:
+            raise ValueError("levels must be >= 1")
         self.zones = zones
         self.levels = levels
         self.max_offset = max_offset
@@ -301,9 +309,9 @@ class MlopPrefetcher:
         self.score_threshold = score_threshold
         self.zone_lines = zone_lines
         self.max_line = max_line
-        # zone -> [bitmap, stamps], in touch order; stamps[i] is the PAE
-        # count at line i's last touch
-        self.zone_table: dict[int, list] = {}
+        # zone -> {in-zone index: PAE count at its last touch}, zones in
+        # touch order
+        self.zone_table: dict[int, dict[int, int]] = {}
         # preference order for ties: 1, -1, 2, -2, ...
         self._offsets = [o for mag in range(1, max_offset + 1) for o in (mag, -mag)]
         self.scores = {o: [0] * (levels + 1) for o in self._offsets}
@@ -312,20 +320,18 @@ class MlopPrefetcher:
         self._pae_count = 0
 
     def _end_round(self) -> None:
+        for col in self.scores.values():  # level l: every capped age >= l
+            for level in range(self.levels - 1, 0, -1):
+                col[level] += col[level + 1]
         chosen = []
         for level in range(1, self.levels + 1):
-            best_offset = None
-            best_score = self.score_threshold - 1
-            for o in self._offsets:
-                s = self.scores[o][level]
-                if s > best_score:
-                    best_score = s
-                    best_offset = o
-            if best_offset is not None and best_offset not in chosen:
-                chosen.append(best_offset)
+            # the first offset in preference order wins a tie
+            best = max(self._offsets, key=lambda o: self.scores[o][level], default=None)
+            if (best is not None and self.scores[best][level] >= self.score_threshold
+                    and best not in chosen):
+                chosen.append(best)
         self.selected_offsets = chosen
-        for o in self._offsets:
-            self.scores[o] = [0] * (self.levels + 1)
+        self.scores = {o: [0] * (self.levels + 1) for o in self._offsets}
         self.round_counter = 0
 
     def on_pae(self, ctx: PaeContext) -> list[int]:
@@ -333,24 +339,20 @@ class MlopPrefetcher:
         zone_lines = self.zone_lines
         zone, x = divmod(ctx.line, zone_lines)
         table = self.zone_table
-        entry = table.pop(zone, None)
-        if entry is None:
+        stamps = table.pop(zone, None)
+        if stamps is None:
             if len(table) >= self.zones:
                 del table[next(iter(table))]
-            entry = [0, [0] * zone_lines]
-        table[zone] = entry
-        bitmap, stamps = entry[0], entry[1]
+            stamps = {}
+        table[zone] = stamps
         levels = self.levels
         scores = self.scores
+        touched = stamps.get
         for o in self._offsets:
-            j = x - o
-            if 0 <= j < zone_lines and (bitmap >> j) & 1:
-                age = now - stamps[j]
-                top = age if age < levels else levels
-                col = scores[o]
-                for level in range(1, top + 1):
-                    col[level] += 1
-        entry[0] = bitmap | (1 << x)
+            stamp = touched(x - o)
+            if stamp is not None:
+                age = now - stamp
+                scores[o][age if age < levels else levels] += 1
         stamps[x] = now
         self.round_counter += 1
         if self.round_counter >= self.round_paes:

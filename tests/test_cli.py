@@ -144,6 +144,14 @@ MALFORMED = [
     (("compare",), {"policy": "tc1",
                     "component_params": {"mlop": {"zone_lines": 0}}}, {},
      "zone_lines must be >= 1"),
+    (("run",), {"engine": "arsenal-tc1",
+                "component_params": {"mlop": {"levels": -1}}}, {},
+     "levels must be >= 1"),
+    (("run",), {"engine": "mlop", "component_params": {"mlop": {"levels": 0}}}, {},
+     "levels must be >= 1"),
+    (("compare",), {"policy": "tc1",
+                    "component_params": {"mlop": {"levels": -1}}}, {},
+     "levels must be >= 1"),
 ]
 
 

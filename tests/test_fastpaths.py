@@ -2,8 +2,10 @@
 
 Each fast path is checked against a straightforward reference over random
 inputs: the set-backed Bloom filter against a bytearray bit table, the
-dict-order LRU tables against a list of keys by last touch, and SPP's
-memoised best slot against a fresh ``max`` over the pattern-table entry.
+dict-order LRU tables against a list of keys by last touch, SPP's memoised
+best slot against a fresh ``max`` over the pattern-table entry, and MLOP's
+age histogram over sparse zone stamps against a touch bitmap with one
+increment per level.
 """
 
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from arsenal_sim.bloom import _GOLDEN, BloomFilter, BloomParams, _mix64
 from arsenal_sim.cache import AccessEvent, CacheConfig, SetAssociativeCache
 from arsenal_sim.prefetchers import (
+    DEFAULT_MAX_LINE,
     IpStridePrefetcher,
     MlopPrefetcher,
     PaeContext,
@@ -83,6 +86,27 @@ def test_bloom_matches_bytearray_reference(capacity, fpp, seed, ops):
     assert fast.inserted_count == ref.inserted_count
     probes = [x for _, x in ops] + list(range(1000, 1300))
     assert [fast.query(x) for x in probes] == [ref.query(x) for x in probes]
+
+
+# capacity 3 at fpp 0.1 makes m = 15 and k = 3; under seed 7, h2 % 15 == 0
+# for these elements, so each of them sets a single bit
+ZERO_STEP_ELEMENTS = (37, 43, 53)
+
+
+def test_bloom_zero_step_matches_bytearray_reference():
+    fast = BloomFilter(3, 0.1, 7)
+    ref = ReferenceBloom(3, 0.1, 7)
+    assert (ref.m, ref.k) == (15, 3)
+    for x in ZERO_STEP_ELEMENTS:
+        assert (_mix64(x ^ ref.seed_b) | 1) % ref.m == 0
+        assert len(set(ref._positions(x))) == 1
+    probes = range(200)
+    for x in (37, 5, 43, 80, 53):
+        assert [fast.query(p) for p in probes] == [ref.query(p) for p in probes]
+        fast.insert(x)
+        ref.insert(x)
+        assert bytes(fast.bits) == bytes(ref.bits)
+    assert [fast.query(p) for p in probes] == [ref.query(p) for p in probes]
 
 
 def touch(keys: list, key, bound: int) -> None:
@@ -187,3 +211,113 @@ def test_spp_best_slot_memo_matches_fresh_max(pt_entries, pt_slots, counter_max,
             assert spp._best_slot(sig) == fresh_best_slot(spp, sig)
     assert spp.pattern_table == ref.pattern_table
     assert spp.max_chain_depth == ref.max_chain_depth
+
+
+class ReferenceMlop:
+    """MLOP scored with a touch bitmap and per-line stamp list per zone, and
+    one increment per lookahead level a touched neighbour reaches."""
+
+    def __init__(self, zones: int = 64, levels: int = 8, max_offset: int = 16,
+                 round_paes: int = 256, score_threshold: int = 16,
+                 zone_lines: int = 64, max_line: int = DEFAULT_MAX_LINE):
+        self.zones = zones
+        self.levels = levels
+        self.max_offset = max_offset
+        self.round_paes = round_paes
+        self.score_threshold = score_threshold
+        self.zone_lines = zone_lines
+        self.max_line = max_line
+        # zone -> [bitmap, stamps], in touch order; stamps[i] is the PAE
+        # count at line i's last touch
+        self.zone_table: dict[int, list] = {}
+        # preference order for ties: 1, -1, 2, -2, ...
+        self._offsets = [o for mag in range(1, max_offset + 1) for o in (mag, -mag)]
+        self.scores = {o: [0] * (levels + 1) for o in self._offsets}
+        self.selected_offsets: list[int] = []
+        self.round_counter = 0
+        self._pae_count = 0
+
+    def _end_round(self) -> None:
+        chosen = []
+        for level in range(1, self.levels + 1):
+            best_offset = None
+            best_score = self.score_threshold - 1
+            for o in self._offsets:
+                s = self.scores[o][level]
+                if s > best_score:
+                    best_score = s
+                    best_offset = o
+            if best_offset is not None and best_offset not in chosen:
+                chosen.append(best_offset)
+        self.selected_offsets = chosen
+        for o in self._offsets:
+            self.scores[o] = [0] * (self.levels + 1)
+        self.round_counter = 0
+
+    def on_pae(self, ctx: PaeContext) -> list[int]:
+        self._pae_count = now = self._pae_count + 1
+        zone_lines = self.zone_lines
+        zone, x = divmod(ctx.line, zone_lines)
+        table = self.zone_table
+        entry = table.pop(zone, None)
+        if entry is None:
+            if len(table) >= self.zones:
+                del table[next(iter(table))]
+            entry = [0, [0] * zone_lines]
+        table[zone] = entry
+        bitmap, stamps = entry[0], entry[1]
+        levels = self.levels
+        scores = self.scores
+        for o in self._offsets:
+            j = x - o
+            if 0 <= j < zone_lines and (bitmap >> j) & 1:
+                age = now - stamps[j]
+                top = age if age < levels else levels
+                col = scores[o]
+                for level in range(1, top + 1):
+                    col[level] += 1
+        entry[0] = bitmap | (1 << x)
+        stamps[x] = now
+        self.round_counter += 1
+        if self.round_counter >= self.round_paes:
+            self._end_round()
+        if not self.selected_offsets:
+            return []
+        line = ctx.line
+        max_line = self.max_line
+        out = []
+        for o in self.selected_offsets:
+            nxt = x + o
+            if 0 <= nxt < zone_lines:
+                cand = line + o
+                if 0 <= cand <= max_line:
+                    out.append(cand)
+        return out
+
+
+# strided runs (start, stride, count): a stride of 0 repeats a line, a run
+# can cross zones, and runs of different strides pull the scores apart
+mlop_runs = st.lists(st.tuples(st.integers(0, 600), st.integers(-6, 6),
+                               st.integers(1, 60)), min_size=1, max_size=12)
+
+
+@PROPERTY
+@given(zones=st.integers(1, 5), zone_lines=st.integers(1, 128),
+       levels=st.integers(1, 9), max_offset=st.integers(0, 20),
+       round_paes=st.integers(1, 64), score_threshold=st.integers(0, 20),
+       runs=mlop_runs)
+def test_mlop_histogram_matches_per_level_reference(zones, zone_lines, levels,
+                                                    max_offset, round_paes,
+                                                    score_threshold, runs):
+    kw = dict(zones=zones, zone_lines=zone_lines, levels=levels,
+              max_offset=max_offset, round_paes=round_paes,
+              score_threshold=score_threshold)
+    mlop = MlopPrefetcher(**kw)
+    ref = ReferenceMlop(**kw)
+    lines = [start + stride * i for start, stride, count in runs
+             for i in range(count) if start + stride * i >= 0]
+    for seq, line in enumerate(lines):
+        ctx = PaeContext(0x400, line, seq)
+        assert mlop.on_pae(ctx) == ref.on_pae(ctx)
+        assert mlop.selected_offsets == ref.selected_offsets
+        assert list(mlop.zone_table) == list(ref.zone_table)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -268,6 +269,20 @@ class TestMlop:
         for line in range(256):
             mlop.on_pae(ctx(line, line))
         assert all(s == 0 for col in mlop.scores.values() for s in col)
+
+    def test_zone_lines_costs_no_memory_per_line(self):
+        # a zone holds a stamp per touched line, whatever its size
+        rng = random.Random(41)
+        mlop = MlopPrefetcher(zone_lines=10 ** 6)
+        tracemalloc.start()
+        try:
+            for seq in range(400):
+                mlop.on_pae(ctx(rng.randrange(0, 10 ** 8), seq))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(mlop.zone_table) == mlop.zones
+        assert peak < 1 << 20
 
 
 class TestTskid:
