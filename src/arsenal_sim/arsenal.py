@@ -62,11 +62,6 @@ SCORE_MAX = 2047        # 11-bit saturating score
 PREFETCH_COUNTER_MAX = 4095  # 12-bit saturating attempt counter
 
 
-class PrefetchRequest(NamedTuple):
-    line: int
-    source: str
-
-
 @dataclass
 class ArsenalConfig:
     """Sandbox thresholds; defaults follow the published operating point."""
@@ -187,7 +182,8 @@ class Arsenal:
                 score = sb[2] - dec
                 sb[2] = score if score > 0 else 0
 
-    def on_pae(self, ctx: PaeContext) -> list[PrefetchRequest]:
+    def on_pae(self, ctx: PaeContext) -> tuple[Optional[str], list[int]]:
+        """(the deployed component, its candidates for this PAE)."""
         self.score_demand(ctx.line)
 
         selected = self.chosen
@@ -207,12 +203,10 @@ class Arsenal:
                 if name == selected:
                     live = candidates
 
-        out = [PrefetchRequest(line, selected) for line in live]
-
         # the rows' evaluation counters move together; sb is the last row's
         if sb[0] >= self.config.eval_cnt:
             self._decide(ctx.seq)
-        return out
+        return selected, live
 
     def _decide(self, decided_at: int) -> None:
         cfg = self.config

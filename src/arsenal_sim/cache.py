@@ -113,8 +113,11 @@ class SetAssociativeCache:
         self.pf_late_converted = 0
         self.evictions = 0
         self.evicted_unused_prefetches = 0
-        self.useful_by_source: dict[str, int] = {}
+        # per source: useful <= filled <= accepted <= issued
+        self.issued_by_source: dict[str, int] = {}
+        self.accepted_by_source: dict[str, int] = {}
         self.filled_by_source: dict[str, int] = {}
+        self.useful_by_source: dict[str, int] = {}
 
     def is_resident(self, line: int) -> bool:
         return line in self._sets[line & self._set_mask]
@@ -169,6 +172,7 @@ class SetAssociativeCache:
     def enqueue_prefetch(self, line: int, source: str, now: int) -> bool:
         """Queue a line for prefetch; False when deduped or the queue is full."""
         self.pf_attempted += 1
+        self.issued_by_source[source] = self.issued_by_source.get(source, 0) + 1
         if line in self._sets[line & self._set_mask]:
             self.pf_dropped_resident += 1
             return False
@@ -182,6 +186,7 @@ class SetAssociativeCache:
         self._inflight[line] = [fill_seq, source]
         self._fifo.append((line, fill_seq))
         self.pf_accepted += 1
+        self.accepted_by_source[source] = self.accepted_by_source.get(source, 0) + 1
         return True
 
     def fill_due(self, now: int) -> int:

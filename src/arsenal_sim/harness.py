@@ -1,12 +1,15 @@
 """Experiment orchestration: trace -> cache -> engine -> report.
 
-An engine is anything with ``on_pae(ctx) -> list[PrefetchRequest]`` and
+An engine is anything with ``on_pae(ctx) -> (source, lines)`` and
 ``describe() -> dict``: the meta-prefetcher, a single component running
-standalone with fixed aggressiveness, or the no-prefetch baseline. The
-simulation drives each demand access through the cache, which installs
-the prefetches due by then and classifies the access, and, on a PAE,
-through the engine; accepted requests enter the cache's prefetch queue
-tagged with their source component.
+standalone with fixed aggressiveness, or the no-prefetch baseline. All the
+lines of one PAE come from one source, the component the engine deploys
+(None when it deploys none, and then the lines are empty). The simulation
+drives each demand access through the cache, which installs the prefetches
+due by then and classifies the access, and, on a PAE, through the engine;
+each line goes to the cache's prefetch queue tagged with the source, and
+the cache counts what each source issued, got accepted, filled and made
+useful.
 """
 
 import inspect
@@ -20,11 +23,10 @@ from .arsenal import (
     TEST_CASE_2,
     Arsenal,
     ArsenalConfig,
-    PrefetchRequest,
     build_component,
 )
 from .cache import AccessEvent, CacheConfig, SetAssociativeCache, amat
-from .metrics import FORMATS, compute_metrics, overhead_for_test_case
+from .metrics import COMPARE_METRICS, FORMATS, compute_metrics, overhead_for_test_case
 from .prefetchers import PaeContext
 from .traces import (PatternSpec, check_address_range, check_fields, generate,
                      reject_unknown, stream_trace_file)
@@ -46,8 +48,8 @@ SLICE_EVENTS = 256
 class NoPrefetchEngine:
     name = ENGINE_NONE
 
-    def on_pae(self, ctx: PaeContext) -> list[PrefetchRequest]:
-        return []
+    def on_pae(self, ctx: PaeContext) -> tuple[None, list[int]]:
+        return None, []
 
     def describe(self) -> dict:
         return {"kind": "none"}
@@ -60,9 +62,8 @@ class StandaloneEngine:
         self.name = name
         self.component = component
 
-    def on_pae(self, ctx: PaeContext) -> list[PrefetchRequest]:
-        name = self.name
-        return [PrefetchRequest(line, name) for line in self.component.on_pae(ctx)]
+    def on_pae(self, ctx: PaeContext) -> tuple[str, list[int]]:
+        return self.name, self.component.on_pae(ctx)
 
     def describe(self) -> dict:
         detail = {"kind": "standalone", "component": self.name}
@@ -175,9 +176,6 @@ class Simulation:
     def __init__(self, cache_config: CacheConfig, engine):
         self.cache = SetAssociativeCache(cache_config)
         self.engine = engine
-        self.pae_count = 0
-        self.issued_by_source: dict[str, int] = {}
-        self.accepted_by_source: dict[str, int] = {}
         self._line_shift = cache_config.line_shift
 
     def step(self, event: AccessEvent):
@@ -185,18 +183,12 @@ class Simulation:
         outcome = cache.access(event)
         if outcome.is_pae:
             seq = event.seq
-            self.pae_count += 1
             ctx = PaeContext(event.pc, event.addr >> self._line_shift, seq)
-            requests = self.engine.on_pae(ctx)
-            if requests:
-                issued = self.issued_by_source
-                accepted = self.accepted_by_source
+            source, lines = self.engine.on_pae(ctx)
+            if lines:
                 enqueue = cache.enqueue_prefetch
-                for req in requests:
-                    src = req.source
-                    issued[src] = issued.get(src, 0) + 1
-                    if enqueue(req.line, src, seq):
-                        accepted[src] = accepted.get(src, 0) + 1
+                for line in lines:
+                    enqueue(line, source, seq)
         return outcome
 
     def run(self, events: Iterable[AccessEvent]) -> None:
@@ -238,18 +230,17 @@ def run_experiment(cfg: ExperimentConfig, baseline_amat: Optional[float] = None)
     cache = sim.cache
     demand = cache.demand_counts()
     prefetch = cache.prefetch_counts()
-    useful = dict(cache.useful_by_source)
     metrics = compute_metrics(demand, prefetch, cfg.cache, baseline_amat)
 
+    # every source that filled or made a prefetch useful also issued it
     shadow = getattr(engine, "total_candidates", {})
-    names = set(sim.issued_by_source) | set(useful) | set(cache.filled_by_source)
     per_component = {name: {
         "shadow_candidates": shadow.get(name, 0),
-        "issued": sim.issued_by_source.get(name, 0),
-        "accepted": sim.accepted_by_source.get(name, 0),
+        "issued": cache.issued_by_source.get(name, 0),
+        "accepted": cache.accepted_by_source.get(name, 0),
         "filled": cache.filled_by_source.get(name, 0),
-        "useful": useful.get(name, 0),
-    } for name in sorted(names | set(shadow))}
+        "useful": cache.useful_by_source.get(name, 0),
+    } for name in sorted(set(cache.issued_by_source) | set(shadow))}
 
     report = {
         "schema": "arsenal-sim-report-v1",
@@ -318,8 +309,7 @@ def compare_engines(traces: list[dict], policy: str = TEST_CASE_2,
             metrics = compute_metrics(sim.cache.demand_counts(),
                                       sim.cache.prefetch_counts(), cache, baseline)
             baseline = metrics["baseline_amat"]
-            results[engine] = {key: metrics[key] for key in
-                               ("amat", "speedup_proxy", "coverage", "accuracy")}
+            results[engine] = {key: metrics[key] for key in COMPARE_METRICS}
         oracle_engine = max(standalone, key=lambda e: results[e]["speedup_proxy"])
         oracle = {"engine": oracle_engine,
                   "speedup_proxy": results[oracle_engine]["speedup_proxy"]}

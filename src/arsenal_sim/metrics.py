@@ -40,9 +40,9 @@ RUN_CSV_COLUMNS = [
     "prefetch_dropped",
 ]
 
-COMPARE_CSV_COLUMNS = [
-    "trace", "engine", "amat", "speedup_proxy", "coverage", "accuracy",
-]
+# what compare reports per engine and trace, in CSV column order
+COMPARE_METRICS = ("amat", "speedup_proxy", "coverage", "accuracy")
+COMPARE_CSV_COLUMNS = ["trace", "engine", *COMPARE_METRICS]
 
 
 def compute_metrics(demand: dict, prefetch: dict, config: CacheConfig,
@@ -205,14 +205,8 @@ def to_csv(report: dict) -> str:
         for entry in report["per_trace"]:
             for engine in report["engines"]:
                 res = entry["results"][engine]
-                writer.writerow({
-                    "trace": entry["label"],
-                    "engine": engine,
-                    "amat": _fmt(res["amat"]),
-                    "speedup_proxy": _fmt(res["speedup_proxy"]),
-                    "coverage": _fmt(res["coverage"]),
-                    "accuracy": _fmt(res["accuracy"]),
-                })
+                writer.writerow({"trace": entry["label"], "engine": engine,
+                                 **{key: _fmt(res[key]) for key in COMPARE_METRICS}})
     else:
         writer = csv.DictWriter(out, fieldnames=RUN_CSV_COLUMNS,
                                 lineterminator="\n")

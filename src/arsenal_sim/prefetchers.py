@@ -25,6 +25,13 @@ class PaeContext(NamedTuple):
     seq: int
 
 
+def _require_positive(**params: int) -> None:
+    # a value below 1 would leave the component silently idle or broken
+    for key, value in params.items():
+        if value < 1:
+            raise ValueError(f"{key} must be >= 1")
+
+
 class NextLinePrefetcher:
     """Prefetch the next ``degree`` lines after every trigger.
 
@@ -36,8 +43,7 @@ class NextLinePrefetcher:
                  degree_divisor: int = 512, max_line: int = DEFAULT_MAX_LINE):
         if not (1 <= degree <= max_degree):
             raise ValueError("degree out of range")
-        if degree_divisor < 1:
-            raise ValueError("degree_divisor must be >= 1")
+        _require_positive(degree_divisor=degree_divisor)
         self.degree = degree
         self.max_degree = max_degree
         self.degree_divisor = degree_divisor
@@ -72,8 +78,7 @@ class IpStridePrefetcher:
 
     def __init__(self, table_size: int = 64, degree: int = 8,
                  max_line: int = DEFAULT_MAX_LINE):
-        if table_size < 1:
-            raise ValueError("table_size must be >= 1")
+        _require_positive(table_size=table_size, degree=degree)
         self.table_size = table_size
         self.degree = degree
         self.max_line = max_line
@@ -133,11 +138,9 @@ class SppPrefetcher:
                  ghr_entries: int = 8, lookahead_depth: int = 8,
                  confidence_threshold: float = 0.25,
                  page_lines: int = 64, max_line: int = DEFAULT_MAX_LINE):
-        for key, value in (("st_entries", st_entries), ("pt_entries", pt_entries),
-                           ("pt_slots", pt_slots), ("ghr_entries", ghr_entries),
-                           ("page_lines", page_lines)):
-            if value < 1:
-                raise ValueError(f"{key} must be >= 1")
+        _require_positive(st_entries=st_entries, pt_entries=pt_entries,
+                          pt_slots=pt_slots, ghr_entries=ghr_entries,
+                          lookahead_depth=lookahead_depth, page_lines=page_lines)
         self.st_entries = st_entries
         self.pt_entries = pt_entries
         self.pt_slots = pt_slots
@@ -296,12 +299,8 @@ class MlopPrefetcher:
     def __init__(self, zones: int = 64, levels: int = 8, max_offset: int = 16,
                  round_paes: int = 256, score_threshold: int = 16,
                  zone_lines: int = 64, max_line: int = DEFAULT_MAX_LINE):
-        if zones < 1:
-            raise ValueError("zones must be >= 1")
-        if zone_lines < 1:
-            raise ValueError("zone_lines must be >= 1")
-        if levels < 1:
-            raise ValueError("levels must be >= 1")
+        _require_positive(zones=zones, levels=levels, max_offset=max_offset,
+                          round_paes=round_paes, zone_lines=zone_lines)
         self.zones = zones
         self.levels = levels
         self.max_offset = max_offset
@@ -316,7 +315,6 @@ class MlopPrefetcher:
         self._offsets = [o for mag in range(1, max_offset + 1) for o in (mag, -mag)]
         self.scores = {o: [0] * (levels + 1) for o in self._offsets}
         self.selected_offsets: list[int] = []
-        self.round_counter = 0
         self._pae_count = 0
 
     def _end_round(self) -> None:
@@ -332,7 +330,6 @@ class MlopPrefetcher:
                 chosen.append(best)
         self.selected_offsets = chosen
         self.scores = {o: [0] * (self.levels + 1) for o in self._offsets}
-        self.round_counter = 0
 
     def on_pae(self, ctx: PaeContext) -> list[int]:
         self._pae_count = now = self._pae_count + 1
@@ -354,8 +351,7 @@ class MlopPrefetcher:
                 age = now - stamp
                 scores[o][age if age < levels else levels] += 1
         stamps[x] = now
-        self.round_counter += 1
-        if self.round_counter >= self.round_paes:
+        if now % self.round_paes == 0:
             self._end_round()
         if not self.selected_offsets:
             return []
@@ -383,35 +379,28 @@ class TskidPrefetcher:
     def __init__(self, table_size: int = 64, lead: int = 4,
                  verification_expiry: int = 1024,
                  max_line: int = DEFAULT_MAX_LINE):
-        if table_size < 1:
-            raise ValueError("table_size must be >= 1")
+        _require_positive(table_size=table_size)
         self.table_size = table_size
         self.lead = lead
         self.verification_expiry = verification_expiry
         self.max_line = max_line
         # pc -> [last_line, delta, confidence, use_distance], in touch order
         self.table: dict[int, list] = {}
-        self._delay_queue: list[tuple[int, int, int]] = []  # (release_seq, tie, line)
-        self._tie = 0
-        # predicted_line -> (pc, trigger_seq); FIFO ring for expiry
+        # (release_seq, trigger_seq, line); trigger seqs rise strictly per
+        # push, so they break release ties in push order
+        self._delay_queue: list[tuple[int, int, int]] = []
+        # predicted_line -> (pc, trigger_seq), in trigger order: a prediction
+        # is popped and re-inserted, so the oldest is always the first key
         self._pending: dict[int, tuple[int, int]] = {}
-        self._pending_fifo: list[tuple[int, int]] = []  # (trigger_seq, line)
-        self._pending_head = 0
 
     def _expire_pending(self, now: int) -> None:
-        fifo = self._pending_fifo
-        head = self._pending_head
+        pending = self._pending
         horizon = now - self.verification_expiry
-        while head < len(fifo) and fifo[head][0] < horizon:
-            trigger_seq, line = fifo[head]
-            head += 1
-            rec = self._pending.get(line)
-            if rec is not None and rec[1] == trigger_seq:
-                del self._pending[line]
-        if head > 64 and head * 2 > len(fifo):
-            del fifo[:head]
-            head = 0
-        self._pending_head = head
+        while pending:
+            line = next(iter(pending))
+            if pending[line][1] >= horizon:
+                break
+            del pending[line]
 
     def _release_due(self, now: int, out: list[int]) -> None:
         dq = self._delay_queue
@@ -444,9 +433,8 @@ class TskidPrefetcher:
             predicted = ctx.line + entry[1]
             if 0 <= predicted <= self.max_line:
                 release = now + max(0, entry[3] - self.lead)
-                self._tie += 1
-                heapq.heappush(self._delay_queue, (release, self._tie, predicted))
+                heapq.heappush(self._delay_queue, (release, now, predicted))
+                self._pending.pop(predicted, None)
                 self._pending[predicted] = (ctx.pc, now)
-                self._pending_fifo.append((now, predicted))
                 self._release_due(now, out)  # untrained timing issues immediately
         return out

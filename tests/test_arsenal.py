@@ -126,7 +126,7 @@ class TestSelectTestCase2:
 class TestOnPae:
     def test_initial_phase_returns_nothing_but_updates(self):
         a = tc2_arsenal()
-        out = a.on_pae(ctx(100, 0))
+        _, out = a.on_pae(ctx(100, 0))
         assert out == []
         assert all(a.scoreboard[n][0] == 1 for n in a.names)
         # next-line shadowed lines are in its filter
@@ -136,9 +136,9 @@ class TestOnPae:
         a = tc2_arsenal()
         a.components[NEXT_LINE].degree = 5
         a.chosen = NEXT_LINE
-        out = a.on_pae(ctx(100, 7))
-        assert [r.line for r in out] == [101, 102, 103, 104, 105]
-        assert all(r.source == NEXT_LINE for r in out)
+        source, out = a.on_pae(ctx(100, 7))
+        assert out == [101, 102, 103, 104, 105]
+        assert source == NEXT_LINE
 
     def test_selection_fires_exactly_at_eval_cnt(self):
         a = tc2_arsenal(eval_cnt=512)
@@ -229,9 +229,9 @@ class TestPhaseReset:
         assert a.chosen == chosen[-1]
         # between decisions, on_pae output source matches the live selection
         live = a.chosen
-        out = a.on_pae(ctx(10_000, 10_000))
+        source, out = a.on_pae(ctx(10_000, 10_000))
         if out:
-            assert all(r.source == live for r in out)
+            assert source == live
 
 
 class TestOracleEquivalence:

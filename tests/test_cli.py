@@ -152,6 +152,27 @@ MALFORMED = [
     (("compare",), {"policy": "tc1",
                     "component_params": {"mlop": {"levels": -1}}}, {},
      "levels must be >= 1"),
+    (("run",), {"engine": "mlop", "component_params": {"mlop": {"max_offset": -1}}},
+     {}, "max_offset must be >= 1"),
+    (("compare",), {"policy": "tc1",
+                    "component_params": {"mlop": {"max_offset": 0}}}, {},
+     "max_offset must be >= 1"),
+    (("run",), {"engine": "arsenal-tc1",
+                "component_params": {"mlop": {"round_paes": 0}}}, {},
+     "round_paes must be >= 1"),
+    (("compare",), {"policy": "tc1",
+                    "component_params": {"mlop": {"round_paes": -5}}}, {},
+     "round_paes must be >= 1"),
+    (BOTH, {"component_params": {"ip_stride": {"degree": 0}}}, {},
+     "degree must be >= 1"),
+    (("run",), {"engine": "ip-stride",
+                "component_params": {"ip_stride": {"degree": -1}}}, {},
+     "degree must be >= 1"),
+    (BOTH, {"component_params": {"spp": {"lookahead_depth": 0}}}, {},
+     "lookahead_depth must be >= 1"),
+    (("run",), {"engine": "spp",
+                "component_params": {"spp": {"lookahead_depth": -2}}}, {},
+     "lookahead_depth must be >= 1"),
 ]
 
 

@@ -3,10 +3,13 @@
 Each fast path is checked against a straightforward reference over random
 inputs: the set-backed Bloom filter against a bytearray bit table, the
 dict-order LRU tables against a list of keys by last touch, SPP's memoised
-best slot against a fresh ``max`` over the pattern-table entry, and MLOP's
+best slot against a fresh ``max`` over the pattern-table entry, MLOP's
 age histogram over sparse zone stamps against a touch bitmap with one
-increment per level.
+increment per level, and TSKID's pending table, expired from its own dict
+order, against a FIFO of every prediction.
 """
+
+import heapq
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +23,7 @@ from arsenal_sim.prefetchers import (
     PaeContext,
     SppPrefetcher,
     TskidPrefetcher,
+    _train_stride,
 )
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -303,7 +307,7 @@ mlop_runs = st.lists(st.tuples(st.integers(0, 600), st.integers(-6, 6),
 
 @PROPERTY
 @given(zones=st.integers(1, 5), zone_lines=st.integers(1, 128),
-       levels=st.integers(1, 9), max_offset=st.integers(0, 20),
+       levels=st.integers(1, 9), max_offset=st.integers(1, 20),
        round_paes=st.integers(1, 64), score_threshold=st.integers(0, 20),
        runs=mlop_runs)
 def test_mlop_histogram_matches_per_level_reference(zones, zone_lines, levels,
@@ -321,3 +325,120 @@ def test_mlop_histogram_matches_per_level_reference(zones, zone_lines, levels,
         assert mlop.on_pae(ctx) == ref.on_pae(ctx)
         assert mlop.selected_offsets == ref.selected_offsets
         assert list(mlop.zone_table) == list(ref.zone_table)
+
+
+class ReferenceTskid:
+    """TSKID with a FIFO of (trigger_seq, line) per prediction for expiry,
+    and a push counter breaking delay-queue ties."""
+
+    def __init__(self, table_size: int = 64, lead: int = 4,
+                 verification_expiry: int = 1024,
+                 max_line: int = DEFAULT_MAX_LINE):
+        if table_size < 1:
+            raise ValueError("table_size must be >= 1")
+        self.table_size = table_size
+        self.lead = lead
+        self.verification_expiry = verification_expiry
+        self.max_line = max_line
+        # pc -> [last_line, delta, confidence, use_distance], in touch order
+        self.table: dict[int, list] = {}
+        self._delay_queue: list[tuple[int, int, int]] = []  # (release_seq, tie, line)
+        self._tie = 0
+        # predicted_line -> (pc, trigger_seq); FIFO ring for expiry
+        self._pending: dict[int, tuple[int, int]] = {}
+        self._pending_fifo: list[tuple[int, int]] = []  # (trigger_seq, line)
+        self._pending_head = 0
+
+    def _expire_pending(self, now: int) -> None:
+        fifo = self._pending_fifo
+        head = self._pending_head
+        horizon = now - self.verification_expiry
+        while head < len(fifo) and fifo[head][0] < horizon:
+            trigger_seq, line = fifo[head]
+            head += 1
+            rec = self._pending.get(line)
+            if rec is not None and rec[1] == trigger_seq:
+                del self._pending[line]
+        if head > 64 and head * 2 > len(fifo):
+            del fifo[:head]
+            head = 0
+        self._pending_head = head
+
+    def _release_due(self, now: int, out: list[int]) -> None:
+        dq = self._delay_queue
+        while dq and dq[0][0] <= now:
+            out.append(heapq.heappop(dq)[2])
+
+    def on_pae(self, ctx: PaeContext) -> list[int]:
+        now = ctx.seq
+        out: list[int] = []
+        self._release_due(now, out)
+        self._expire_pending(now)
+        rec = self._pending.pop(ctx.line, None)
+        if rec is not None:
+            pc, trigger_seq = rec
+            owner = self.table.get(pc)
+            if owner is not None:
+                owner[3] = now - trigger_seq
+        table = self.table
+        entry = table.pop(ctx.pc, None)
+        if entry is None:
+            if len(table) >= self.table_size:
+                del table[next(iter(table))]
+            table[ctx.pc] = [ctx.line, 0, 0, 0]
+            return out
+        table[ctx.pc] = entry
+        delta = ctx.line - entry[0]
+        _train_stride(entry, delta)
+        entry[0] = ctx.line
+        if entry[2] >= 2 and entry[1] != 0:
+            predicted = ctx.line + entry[1]
+            if 0 <= predicted <= self.max_line:
+                release = now + max(0, entry[3] - self.lead)
+                self._tie += 1
+                heapq.heappush(self._delay_queue, (release, self._tie, predicted))
+                self._pending[predicted] = (ctx.pc, now)
+                self._pending_fifo.append((now, predicted))
+                self._release_due(now, out)  # untrained timing issues immediately
+        return out
+
+
+# Bursts (pc, target, stride, demand the target, filler PAEs, seq gap): a
+# PC trains on the stride towards one of two far-apart targets and predicts
+# it; filler PAEs, each from a PC of its own, predict nothing and only let
+# time pass. A target is often predicted again while an earlier prediction
+# of it is pending, with other predictions made in between.
+tskid_bursts = st.lists(st.tuples(st.integers(0, 7), st.sampled_from([1000, 2000]),
+                                  st.sampled_from([7, 11, -13]), st.booleans(),
+                                  st.integers(0, 6), st.integers(1, 3)),
+                        min_size=1, max_size=12)
+
+
+def tskid_stream(bursts):
+    seq = filler = 0
+    for pc, target, stride, demand, fillers, gap in bursts:
+        events = [(pc, target - k * stride) for k in range(3, -1 if demand else 0, -1)]
+        for _ in range(fillers):
+            filler += 1
+            events.append((100 + filler, 10 ** 6 + 1000 * filler))
+        for who, line in events:
+            seq += gap  # strictly increasing
+            yield PaeContext(0x400 + 8 * who, line, seq)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lead=st.integers(0, 6), verification_expiry=st.integers(0, 60),
+       table_size=st.integers(1, 4), bursts=tskid_bursts)
+def test_tskid_dict_order_expiry_matches_fifo_reference(lead, verification_expiry,
+                                                        table_size, bursts):
+    kw = dict(table_size=table_size, lead=lead,
+              verification_expiry=verification_expiry)
+    tskid = TskidPrefetcher(**kw)
+    ref = ReferenceTskid(**kw)
+    for ctx in tskid_stream(bursts):
+        assert tskid.on_pae(ctx) == ref.on_pae(ctx)
+        assert tskid.table == ref.table
+        assert tskid._pending == ref._pending
+        # the same release order: ties go to the earlier push either way
+        assert ([(release, line) for release, _, line in sorted(tskid._delay_queue)]
+                == [(release, line) for release, _, line in sorted(ref._delay_queue)])

@@ -119,7 +119,7 @@ class TestEngines:
         sim = Simulation(cfg.cache, engine)
         sim.run(cfg.events())
         ever_selected = {d["chosen"] for d in engine.selection_timeline}
-        assert set(sim.issued_by_source) <= ever_selected - {None}
+        assert set(sim.cache.issued_by_source) <= ever_selected - {None}
 
     def test_arsenal_seed_defaults_to_experiment_seed(self):
         cfg = ExperimentConfig(engine="arsenal-tc2",
@@ -147,10 +147,13 @@ class TestSimulationStepping:
 
     def test_pae_count_tracks_non_hits(self):
         cfg = seq_cfg("none", length=2000)
-        sim = Simulation(cfg.cache, NoPrefetchEngine())
+        engine = NoPrefetchEngine()
+        paes = []
+        engine.on_pae = lambda ctx: paes.append(ctx) or (None, [])
+        sim = Simulation(cfg.cache, engine)
         sim.run(cfg.events())
         d = sim.cache.demand_counts()
-        assert sim.pae_count == d["total"] - d["hits"]
+        assert len(paes) == d["total"] - d["hits"]
 
 
 class TestTraceFileInput(object):

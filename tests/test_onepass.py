@@ -3,7 +3,9 @@
 ``run`` drives its engine and the no-prefetch baseline, and ``compare`` all
 engines of a trace, over a single ``ExperimentConfig.events()`` pass, a
 slice of events at a time. The references here run every simulation
-separately, each over its own ``Simulation.run(cfg.events())``.
+separately, each over its own ``Simulation.run(cfg.events())``. Over the
+same random configs, a run report's per-component counts add up to its
+prefetch and demand totals.
 """
 
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from arsenal_sim.cache import CacheConfig, amat
 from arsenal_sim.harness import (
+    ARSENAL_PREFIX,
     ENGINE_NAMES,
     SLICE_EVENTS,
     ExperimentConfig,
@@ -79,14 +82,33 @@ def test_run_report_matches_separate_runs(engine, pattern, cache, length, arsena
     assert report["experiment"]["engine_detail"] == reference.describe()
     assert report["selection_timeline"] == getattr(reference, "selection_timeline", [])
     rows = report["per_component"]
-    for field, counts in (("issued", sim.issued_by_source),
-                          ("accepted", sim.accepted_by_source),
+    for field, counts in (("issued", sim.cache.issued_by_source),
+                          ("accepted", sim.cache.accepted_by_source),
                           ("filled", sim.cache.filled_by_source),
                           ("useful", sim.cache.useful_by_source),
                           ("shadow_candidates",
                            getattr(reference, "total_candidates", {}))):
         assert _nonzero({name: row[field] for name, row in rows.items()}) \
             == _nonzero(counts), field
+
+
+@settings(max_examples=100, deadline=None)
+@given(engine=st.sampled_from(ENGINE_NAMES), pattern=patterns, cache=caches,
+       length=st.sampled_from(LENGTHS), eval_cnt=st.integers(1, 600))
+def test_per_source_accounting_is_conserved(engine, pattern, cache, length, eval_cnt):
+    report = run_experiment(ExperimentConfig(
+        engine=engine, pattern=pattern, length=length, cache=cache,
+        arsenal={"eval_cnt": eval_cnt}, seed=7))
+    rows = report["per_component"].values()
+    prefetch = report["prefetch"]
+    for total, field in (("attempted", "issued"), ("accepted", "accepted"),
+                         ("filled", "filled")):
+        assert sum(row[field] for row in rows) == prefetch[total], field
+    assert sum(row["useful"] for row in rows) == report["demand"]["prefetch_hits"]
+    if engine.startswith(ARSENAL_PREFIX):  # only a deployed component issues
+        chosen = {decision["chosen"] for decision in report["selection_timeline"]}
+        for name, row in report["per_component"].items():
+            assert not row["issued"] or name in chosen, name
 
 
 @settings(max_examples=40, deadline=None)
