@@ -9,7 +9,7 @@ to a line still in flight), or a miss; everything except a plain hit is a
 prefetch activation event (PAE) and is what drives the prefetchers.
 """
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -90,7 +90,8 @@ class SetAssociativeCache:
         self._shift = config.line_shift
         self._set_mask = config.sets - 1
         self._ways = config.ways
-        self._sets: list[dict[int, list]] = [dict() for _ in range(config.sets)]
+        # a set's dict is made on first touch, so the set count costs nothing
+        self._sets: defaultdict[int, dict[int, list]] = defaultdict(dict)
         self._inflight: dict[int, list] = {}   # line -> [fill_seq, source]
         self._fifo: deque[tuple[int, int]] = deque()  # (line, fill_seq), fill order
         cfg = self.config

@@ -10,6 +10,11 @@ due by then and classifies the access, and, on a PAE, through the engine;
 each line goes to the cache's prefetch queue tagged with the source, and
 the cache counts what each source issued, got accepted, filled and made
 useful.
+
+``run_engines`` is the one way a trace becomes scored simulations: it runs
+the no-prefetch baseline and the named engines over one pass of the trace
+and scores each against the baseline's AMAT. ``run`` (``run_experiment``)
+asks it for one engine and ``compare`` (``compare_engines``) for a roster.
 """
 
 import inspect
@@ -197,10 +202,17 @@ class Simulation:
             step(event)
 
 
-def run_in_one_pass(sims: list[Simulation], events: Iterable[AccessEvent]) -> None:
-    """Drive every simulation over one pass of ``events``, one slice of
-    SLICE_EVENTS at a time: each simulation runs a slice in turn."""
-    it = iter(events)
+def run_engines(cfg: ExperimentConfig, engines: Iterable[str]) -> dict:
+    """Simulate ``none`` and each of ``engines`` over one pass of the trace
+    of ``cfg`` and score each against the ``none`` simulation's AMAT.
+
+    The simulations take turns, one slice of SLICE_EVENTS at a time.
+    Returns engine name -> (simulation, metrics), ``none`` first.
+    """
+    names = list(dict.fromkeys([ENGINE_NONE, *engines]))
+    sims = [Simulation(cfg.cache, build_engine(replace(cfg, engine=name)))
+            for name in names]
+    it = iter(cfg.events())
     chunk = list(islice(it, SLICE_EVENTS))
     if not chunk:
         raise ValueError("trace produced no accesses")
@@ -208,29 +220,19 @@ def run_in_one_pass(sims: list[Simulation], events: Iterable[AccessEvent]) -> No
         for sim in sims:
             sim.run(chunk)
         chunk = list(islice(it, SLICE_EVENTS))
+    baseline = amat(sims[0].cache.demand_counts(), cfg.cache)
+    return {name: (sim, compute_metrics(sim.cache.demand_counts(),
+                                        sim.cache.prefetch_counts(), cfg.cache,
+                                        baseline))
+            for name, sim in zip(names, sims)}
 
 
-def run_experiment(cfg: ExperimentConfig, baseline_amat: Optional[float] = None) -> dict:
-    """Run one experiment and assemble its report.
-
-    When no baseline AMAT is supplied and the engine prefetches, a
-    no-prefetch simulation of the same trace runs in the same pass to
-    obtain it, so the speedup proxy always compares identical code paths.
-    """
-    cfg.validate()
-    engine = build_engine(cfg)
-    sim = Simulation(cfg.cache, engine)
-    sims = [sim]
-    if baseline_amat is None and cfg.engine != ENGINE_NONE:
-        sims.append(Simulation(cfg.cache, NoPrefetchEngine()))
-    run_in_one_pass(sims, cfg.events())
-    if len(sims) > 1:
-        baseline_amat = amat(sims[1].cache.demand_counts(), cfg.cache)
-
+def run_experiment(cfg: ExperimentConfig) -> dict:
+    """Run one experiment and assemble its report; the speedup proxy's
+    baseline is a no-prefetch simulation in the same pass."""
+    sim, metrics = run_engines(cfg.validate(), [cfg.engine])[cfg.engine]
+    engine = sim.engine
     cache = sim.cache
-    demand = cache.demand_counts()
-    prefetch = cache.prefetch_counts()
-    metrics = compute_metrics(demand, prefetch, cfg.cache, baseline_amat)
 
     # every source that filled or made a prefetch useful also issued it
     shadow = getattr(engine, "total_candidates", {})
@@ -252,8 +254,8 @@ def run_experiment(cfg: ExperimentConfig, baseline_amat: Optional[float] = None)
             "cache": asdict(cfg.cache),
             "engine_detail": engine.describe(),
         },
-        "demand": demand,
-        "prefetch": prefetch,
+        "demand": cache.demand_counts(),
+        "prefetch": cache.prefetch_counts(),
         "per_component": per_component,
         "metrics": metrics,
         "selection_timeline": list(getattr(engine, "selection_timeline", [])),
@@ -300,16 +302,8 @@ def compare_engines(traces: list[dict], policy: str = TEST_CASE_2,
 
     per_trace = []
     for cfg in configs:
-        sims = [Simulation(cache, build_engine(replace(cfg, engine=engine)))
-                for engine in engines]
-        run_in_one_pass(sims, cfg.events())
-        results = {}
-        baseline = None  # the first engine, none, sets it
-        for engine, sim in zip(engines, sims):
-            metrics = compute_metrics(sim.cache.demand_counts(),
-                                      sim.cache.prefetch_counts(), cache, baseline)
-            baseline = metrics["baseline_amat"]
-            results[engine] = {key: metrics[key] for key in COMPARE_METRICS}
+        results = {engine: {key: metrics[key] for key in COMPARE_METRICS}
+                   for engine, (_, metrics) in run_engines(cfg, engines).items()}
         oracle_engine = max(standalone, key=lambda e: results[e]["speedup_proxy"])
         oracle = {"engine": oracle_engine,
                   "speedup_proxy": results[oracle_engine]["speedup_proxy"]}

@@ -141,6 +141,9 @@ class SppPrefetcher:
         _require_positive(st_entries=st_entries, pt_entries=pt_entries,
                           pt_slots=pt_slots, ghr_entries=ghr_entries,
                           lookahead_depth=lookahead_depth, page_lines=page_lines)
+        if not confidence_threshold <= 1:  # NaN too
+            # a path's confidence starts at 1 and never rises
+            raise ValueError("confidence_threshold must be <= 1")
         self.st_entries = st_entries
         self.pt_entries = pt_entries
         self.pt_slots = pt_slots

@@ -25,6 +25,7 @@ from arsenal_sim.harness import (
     Simulation,
     build_engine,
     compare_engines,
+    run_engines,
     run_experiment,
 )
 from arsenal_sim.metrics import overhead_for_test_case, to_json
@@ -49,21 +50,22 @@ PHASED_SPEC = PatternSpec(kind="phased", segments=[
 ], seed=1001)
 PHASED_LENGTH = 500_000
 
+PHASED_ENGINES = ("arsenal-tc2", "spp", "ip-stride", "next-line")
+
 _phased_cache: dict = {}
 
 
-def phased_report(engine: str) -> dict:
-    """Run an engine over the shared phased workload (memoized)."""
-    if "none" not in _phased_cache and engine != "none":
-        phased_report("none")
-    if engine not in _phased_cache:
-        baseline = None
-        if engine != "none":
-            baseline = _phased_cache["none"]["metrics"]["amat"]
-        cfg = ExperimentConfig(engine=engine, pattern=PHASED_SPEC,
-                               length=PHASED_LENGTH, seed=1001,
-                               label=f"phased/{engine}")
-        _phased_cache[engine] = run_experiment(cfg, baseline_amat=baseline)
+def phased_run(engine: str) -> tuple:
+    """An engine's (selection timeline, metrics) over the shared phased
+    workload. Every engine of PHASED_ENGINES runs in the one pass that fills
+    the memo. The memo keeps no simulation: held for the rest of the
+    session, the five slowed the criteria that run after them."""
+    if not _phased_cache:
+        cfg = ExperimentConfig(pattern=PHASED_SPEC, length=PHASED_LENGTH,
+                               seed=1001)
+        _phased_cache.update(
+            (name, (getattr(sim.engine, "selection_timeline", None), metrics))
+            for name, (sim, metrics) in run_engines(cfg, PHASED_ENGINES).items())
     return _phased_cache[engine]
 
 
@@ -249,8 +251,7 @@ def test_criterion_5_oracle_scoring_equivalence():
 
 def test_criterion_6_adaptivity():
     t0 = time.monotonic()
-    report = phased_report("arsenal-tc2")
-    timeline = report["selection_timeline"]
+    timeline, _ = phased_run("arsenal-tc2")
     bounds = phase_boundaries(PHASED_SPEC, PHASED_LENGTH)
     expected = {"pc_delta": IP_STRIDE, "sequential": NEXT_LINE}
     warmup = 1024  # two selection phases
@@ -282,8 +283,7 @@ def test_criterion_6_adaptivity():
 def test_criterion_7_versatility():
     t0 = time.monotonic()
     improvement = {
-        eng: phased_report(eng)["metrics"]["speedup_proxy"]
-        for eng in ("arsenal-tc2", "spp", "ip-stride", "next-line")
+        eng: phased_run(eng)[1]["speedup_proxy"] for eng in PHASED_ENGINES
     }
     best = max(improvement[e] for e in ("spp", "ip-stride", "next-line"))
     worst = min(improvement[e] for e in ("spp", "ip-stride", "next-line"))
@@ -299,15 +299,10 @@ def test_criterion_7_versatility():
     ]
     ratios = []
     for spec, specialist in homogeneous:
-        base = run_experiment(ExperimentConfig(
-            engine="none", pattern=spec, length=200_000))
-        baseline = base["metrics"]["amat"]
-        arsenal_imp = run_experiment(ExperimentConfig(
-            engine="arsenal-tc2", pattern=spec, length=200_000),
-            baseline_amat=baseline)["metrics"]["speedup_proxy"]
-        specialist_imp = run_experiment(ExperimentConfig(
-            engine=specialist, pattern=spec, length=200_000),
-            baseline_amat=baseline)["metrics"]["speedup_proxy"]
+        scored = run_engines(ExperimentConfig(pattern=spec, length=200_000),
+                             ["arsenal-tc2", specialist])
+        arsenal_imp = scored["arsenal-tc2"][1]["speedup_proxy"]
+        specialist_imp = scored[specialist][1]["speedup_proxy"]
         assert abs(arsenal_imp - specialist_imp) <= 0.1 * specialist_imp, (
             f"{spec.kind}: arsenal {arsenal_imp:.3f} vs "
             f"{specialist} {specialist_imp:.3f}")

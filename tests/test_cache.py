@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -282,6 +283,24 @@ class TestAgainstReferenceModel:
             return outcomes, c.demand_counts(), c.prefetch_counts()
 
         assert run() == run()
+
+    def test_set_count_costs_no_memory_per_set(self):
+        # a set's dict is made on first touch, whatever the set count; 2**20
+        # goes first, so a per-set cost fails there at about 75 MB instead
+        # of taking the machine's memory at 2**40
+        for sets in (2 ** 20, 2 ** 40):
+            rng = random.Random(29)
+            tracemalloc.start()
+            try:
+                c = make_cache(sets=sets, prefetch_fill_delay=2)
+                for seq in range(400):
+                    c.enqueue_prefetch(rng.randrange(1 << 50), "x", seq)
+                    c.access(ev(rng.randrange(1 << 50), seq))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert c.demand_counts()["misses"] == 400
+            assert peak < 1 << 20, sets
 
 
 class TestConfigValidation:

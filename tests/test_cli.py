@@ -173,6 +173,16 @@ MALFORMED = [
     (("run",), {"engine": "spp",
                 "component_params": {"spp": {"lookahead_depth": -2}}}, {},
      "lookahead_depth must be >= 1"),
+    (("run",), {"engine": "spp",
+                "component_params": {"spp": {"confidence_threshold": 1.5}}}, {},
+     "confidence_threshold must be <= 1"),
+    (("run",), {"component_params": {"spp": {"confidence_threshold": 2}}}, {},
+     "confidence_threshold must be <= 1"),
+    (("compare",), {"component_params": {"spp": {"confidence_threshold": 1.01}}},
+     {}, "confidence_threshold must be <= 1"),
+    (("run",), {"engine": "spp",
+                "component_params": {"spp": {"confidence_threshold": float("nan")}}},
+     {}, "confidence_threshold must be <= 1"),
 ]
 
 
@@ -209,6 +219,23 @@ class TestGen:
             run_cli("gen", "--pattern", "random_working_set:working_set_lines=256",
                     "--length", "500", "--seed", "9", "--out", str(path))
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("pattern,length,message", [
+        ("stride:stride=-64", "3", "pattern stride reaches PC or ADDR -0x80, outside"),
+        ("sequential:start=-1", "1", "pattern sequential reaches PC or ADDR -0x1"),
+        ("sequential", "0", "length must be >= 1"),
+        ("sequential", "-4", "length must be >= 1"),
+    ])
+    def test_refused_before_writing(self, tmp_path, capsys, pattern, length,
+                                    message):
+        out = tmp_path / "t.trace"
+        assert run_cli("gen", "--pattern", pattern, "--length", length,
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("arsenal-sim: error:")
+        assert message in err[0]
+        assert not out.exists()
 
 
 class TestRun:

@@ -146,14 +146,14 @@ def test_cache_sets_keep_touch_order(sets, ways, delay, ops):
         for due in [pf for pf, fill_seq in pending.items() if fill_seq <= seq]:
             del pending[due]
             touched(due)
-        assert [list(lines) for lines in cache._sets] == ref
+        assert [list(cache._sets.get(i, ())) for i in range(sets)] == ref
         cache.access(AccessEvent(0x400, line << 6, False, seq))
         pending.pop(line, None)  # a demand to an in-flight line fills it now
         touched(line)
         if prefetch and line + offset >= 0:
             if cache.enqueue_prefetch(line + offset, "spp", seq):
                 pending[line + offset] = seq + delay
-        assert [list(lines) for lines in cache._sets] == ref
+        assert [list(cache._sets.get(i, ())) for i in range(sets)] == ref
 
 
 pae_stream = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 400)),
