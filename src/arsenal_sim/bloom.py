@@ -5,6 +5,12 @@ demanded line addresses are queried against it. Sizing follows the standard
 optimal formulas from a projected capacity and a target false-positive
 probability. An exact-set variant and a paired (bloom + exact) variant exist
 so scoring can be cross-checked against ground truth.
+
+The Bloom filter gives the answers of an m-bit table under Kirsch and
+Mitzenmacher's double hashing ("Less Hashing, Same Performance: Building a
+Better Bloom Filter"), but computes an element's positions only when a
+query could turn out a false positive: most inserts repeat a member of the
+same phase, and a query for a member is True without looking at the table.
 """
 
 import math
@@ -66,18 +72,26 @@ class BloomFilter:
     hashes. No false negatives; false positives at roughly the target rate
     once the filter holds its projected capacity.
 
-    The bit table is held as the set of its set-bit positions: an insert is
-    a set union and a query a superset test, which answer exactly as the
-    m-bit table would, false positives included. ``bits`` rebuilds the
-    packed table on demand. Each element's k positions are memoised as a
-    tuple, because the shadow streams re-insert the same sliding window of
-    lines many times per phase; ``clear`` empties the memo with the table,
-    so the memo lives for one selection phase and its size is bounded by
-    the distinct elements seen in that phase.
+    The filter computes an element's positions only when an answer could
+    be a false positive. Its answers are those of the m-bit table,
+    false positives included:
+
+    - The elements inserted since the last ``clear`` are kept as a member
+      set. A repeat insert is a set lookup, and a query for a member is
+      True at once, since a Bloom filter has no false negatives.
+    - A new member is queued. Its positions are set only when a query for
+      a non-member needs the bit table, or when ``bits`` is read. The
+      table is held as the set of its set-bit positions, so such a query
+      is a superset test.
+    - Each element's k positions are memoised as a tuple. ``clear`` keeps
+      the memo as the previous generation, and a memo miss takes the
+      tuple from there before it hashes, so the shadow streams' sliding
+      windows are not rehashed phase after phase. The memo holds at most
+      the distinct elements of two selection phases.
     """
 
     __slots__ = ("params", "inserted_count", "_m", "_k", "_seed_a", "_seed_b",
-                 "_set_bits", "_positions")
+                 "_set_bits", "_members", "_queued", "_positions", "_previous")
 
     def __init__(self, capacity: int = 2000, fpp: float = 0.01, seed: int = 0):
         self.params = params = BloomParams.create(capacity, fpp, seed)
@@ -86,12 +100,16 @@ class BloomFilter:
         self._seed_a = params.seed
         self._seed_b = _mix64(params.seed ^ _GOLDEN)
         self._set_bits: set[int] = set()
+        self._members: set[int] = set()
+        self._queued: list[int] = []
         self.inserted_count = 0
         self._positions: dict[int, tuple[int, ...]] = {}
+        self._previous: dict[int, tuple[int, ...]] = {}
 
     @property
     def bits(self) -> bytearray:
         """The m-bit table, bit p at byte p >> 3, bit p & 7 (a fresh copy)."""
+        self._set_queued()
         table = bytearray(self.params.bit_table_bytes)
         for p in self._set_bits:
             table[p >> 3] |= 1 << (p & 7)
@@ -116,18 +134,46 @@ class BloomFilter:
         self._positions[element] = pos
         return pos
 
+    def _recall(self, element: int) -> tuple[int, ...]:
+        """Positions missing from this phase's memo: the previous phase's
+        tuple if it has one, else fresh ones."""
+        pos = self._previous.pop(element, None)
+        if pos is None:
+            return self._hash(element)
+        self._positions[element] = pos
+        return pos
+
+    def _set_queued(self) -> None:
+        get = self._positions.get
+        recall = self._recall
+        self._set_bits.update(*[get(x) or recall(x) for x in self._queued])
+        self._queued.clear()
+
     def insert(self, element: int) -> None:
-        self._set_bits.update(self._positions.get(element) or self._hash(element))
         self.inserted_count += 1
+        if element not in self._members:
+            self._members.add(element)
+            self._queued.append(element)
 
     def query(self, element: int) -> bool:
+        members = self._members
+        if element in members:
+            return True
+        if not members:
+            return False
+        if self._queued:
+            self._set_queued()
         return self._set_bits.issuperset(
-            self._positions.get(element) or self._hash(element))
+            self._positions.get(element) or self._recall(element))
 
     def clear(self) -> None:
-        """Reset to the freshly-constructed state (same params and seed)."""
+        """Reset to the freshly-constructed state (same params and seed);
+        this phase's memo becomes the previous one."""
         self._set_bits.clear()
-        self._positions.clear()
+        self._members.clear()
+        self._queued.clear()
+        self._previous = self._positions
+        self._positions = {}
         self.inserted_count = 0
 
 

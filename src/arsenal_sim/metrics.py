@@ -46,13 +46,14 @@ COMPARE_CSV_COLUMNS = ["trace", "engine", *COMPARE_METRICS]
 
 
 def compute_metrics(demand: dict, prefetch: dict, config: CacheConfig,
-                    baseline_amat: float | None = None) -> dict:
+                    baseline_amat: float) -> dict:
     """Summary ratios for one run.
 
     useful = prefetch hits (a prefetched line demanded before eviction);
     accuracy = useful / prefetches filled (null when nothing filled);
     coverage = useful / (useful + demands that still paid a miss-class
-    latency, i.e. misses plus late prefetch hits).
+    latency, i.e. misses plus late prefetch hits);
+    speedup_proxy = baseline_amat (a no-prefetch run's) / this run's AMAT.
     """
     total = demand["total"]
     if total == 0:
@@ -61,8 +62,6 @@ def compute_metrics(demand: dict, prefetch: dict, config: CacheConfig,
     remaining_misses = demand["misses"] + demand["late_prefetch_hits"]
     filled = prefetch["filled"]
     run_amat = amat(demand, config)
-    if baseline_amat is None:
-        baseline_amat = run_amat
     cov_denom = useful + remaining_misses
     return {
         "amat": run_amat,

@@ -8,6 +8,7 @@ streams, and phased concatenations of the above. Generation is fully
 deterministic given the pattern spec and its seed.
 """
 
+import math
 import random
 from dataclasses import dataclass, field, asdict
 from typing import Iterable, Iterator
@@ -80,9 +81,10 @@ def reject_unknown(what: str, data, known) -> None:
 
 
 def check_fields(what: str, data, defaults: dict, required=()) -> None:
-    """Reject a non-object, unknown or missing keys, and values not of their
+    """Reject a non-object, unknown or missing keys, values not of their
     default's type (an int passes for a float; a bool never passes for an
-    int). A None default leaves the value to its own parser."""
+    int), and a NaN or infinite float. A None default leaves the value to
+    its own parser."""
     reject_unknown(what, data, defaults)
     missing = [key for key in required if key not in data]
     if missing:
@@ -94,6 +96,8 @@ def check_fields(what: str, data, defaults: dict, required=()) -> None:
         if type(value) is not expected and (expected, type(value)) != (float, int):
             raise ValueError(f"{what} field {key} must be {expected.__name__}, "
                              f"got {value!r}")
+        if type(value) is float and not math.isfinite(value):
+            raise ValueError(f"{what} field {key} must be finite, got {value!r}")
 
 
 _STREAM_DEFAULTS = {"pc": 0, "start": 0, "delta": 0}
@@ -137,6 +141,8 @@ class PatternSpec:
             raise ValueError("line_size must be >= 1")
         if self.kind == RANDOM_WORKING_SET and self.working_set_lines < 1:
             raise ValueError("working_set_lines must be >= 1")
+        if not 0.0 <= self.write_fraction <= 1.0:
+            raise ValueError("write_fraction must be in [0, 1]")
         if self.kind == PHASED:
             self._flat_segments()
         return self

@@ -139,6 +139,66 @@ class TestBloomFilter:
         assert p.bit_table_bytes == 2397
 
 
+class CountingBloom(BloomFilter):
+    """A BloomFilter that lists the elements whose positions it computes."""
+
+    __slots__ = ("hashed",)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.hashed = []
+
+    def _hash(self, element):
+        self.hashed.append(element)
+        return super()._hash(element)
+
+
+class TestLaziness:
+    def test_repeat_inserts_and_member_queries_compute_no_positions(self):
+        bf = CountingBloom(100, 0.01, seed=1)
+        assert not bf.query(99)  # an empty filter has nothing to compare
+        for _ in range(5):
+            bf.insert(7)
+        assert all(bf.query(7) for _ in range(5))
+        assert bf.inserted_count == 5
+        assert bf.hashed == []
+
+    def test_non_member_query_sets_every_queued_member_first(self):
+        bf = CountingBloom(100, 0.01, seed=1)
+        fresh = BloomFilter(100, 0.01, seed=1)
+        for x in (3, 1, 2, 3, 1):
+            bf.insert(x)
+            fresh.insert(x)
+        assert not bf.query(99)
+        assert bf.hashed == [3, 1, 2, 99]
+        # the members' bits are set: reading the table computes nothing more
+        assert bytes(bf.bits) == bytes(fresh.bits)
+        assert bf.hashed == [3, 1, 2, 99]
+
+    def test_bits_sets_the_queued_members(self):
+        bf = CountingBloom(100, 0.01, seed=1)
+        bf.insert(4)
+        bf.insert(5)
+        assert any(bf.bits)
+        assert bf.hashed == [4, 5]
+
+    def test_memo_lasts_one_more_phase(self):
+        bf = CountingBloom(100, 0.01, seed=1)
+        bf.insert(1)
+        assert not bf.query(99)
+        bf.clear()
+        bf.insert(1)
+        assert not bf.query(99)
+        assert bf.hashed == [1, 99]   # both from the previous phase's memo
+
+        bf.clear()
+        bf.clear()   # no touches in between: the memo holds nothing
+        assert not bf._positions and not bf._previous
+        bf.insert(1)
+        assert not bf.query(99)
+        assert bf.hashed == [1, 99, 1, 99]
+
+
 class TestExactAndPaired:
     def test_exact_filter_is_ground_truth(self):
         f = ExactFilter()

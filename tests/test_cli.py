@@ -182,7 +182,25 @@ MALFORMED = [
      {}, "confidence_threshold must be <= 1"),
     (("run",), {"engine": "spp",
                 "component_params": {"spp": {"confidence_threshold": float("nan")}}},
-     {}, "confidence_threshold must be <= 1"),
+     {}, "component_params.spp field confidence_threshold must be finite, got nan"),
+    (BOTH, {}, {"pattern": {"kind": "random_working_set", "write_fraction": 1.5}},
+     "write_fraction must be in [0, 1]"),
+    (BOTH, {}, {"pattern": {"kind": "random_working_set", "write_fraction": -0.5}},
+     "write_fraction must be in [0, 1]"),
+    (BOTH, {}, {"pattern": {"kind": "random_working_set",
+                            "write_fraction": float("nan")}},
+     "pattern field write_fraction must be finite, got nan"),
+    (BOTH, {}, {"pattern": phased({"spec": {"kind": "random_working_set",
+                                            "write_fraction": float("inf")},
+                                   "length": 10})},
+     "pattern field write_fraction must be finite, got inf"),
+    (BOTH, {"arsenal": {"bf_fpp": float("inf")}}, {},
+     "arsenal field bf_fpp must be finite, got inf"),
+    (("run",), {"engine": "spp",
+                "component_params": {"spp": {"confidence_threshold": float("-inf")}}},
+     {}, "component_params.spp field confidence_threshold must be finite, got -inf"),
+    # an int passes for a float, and no int is infinite, however large
+    (BOTH, {"arsenal": {"bf_fpp": 10 ** 400}}, {}, "bad bloom filter parameters"),
 ]
 
 
@@ -205,6 +223,22 @@ def test_malformed_config_fails_before_running(tmp_path, capsys, steps, verb,
 
 
 class TestGen:
+    @pytest.mark.parametrize("pattern,message", [
+        ("random_working_set:write_fraction=1.5", "write_fraction must be in [0, 1]"),
+        ("random_working_set:write_fraction=nan",
+         "pattern field write_fraction must be finite, got nan"),
+    ])
+    def test_bad_pattern_is_one_error_line_and_no_file(self, tmp_path, capsys,
+                                                       pattern, message):
+        out = tmp_path / "bad.trace"
+        assert run_cli("gen", "--pattern", pattern, "--length", "5",
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("arsenal-sim: error:")
+        assert message in err[0]
+        assert not out.exists()
+
     def test_writes_parseable_trace(self, tmp_path):
         out = tmp_path / "seq.trace"
         assert run_cli("gen", "--pattern", "sequential", "--length", "100",

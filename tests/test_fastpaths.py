@@ -1,7 +1,7 @@
 """Property tests: the hot-path data structures behave as the plain ones.
 
 Each fast path is checked against a straightforward reference over random
-inputs: the set-backed Bloom filter against a bytearray bit table, the
+inputs: the lazy, set-backed Bloom filter against a bytearray bit table, the
 dict-order LRU tables against a list of keys by last touch, SPP's memoised
 best slot against a fresh ``max`` over the pattern-table entry, MLOP's
 age histogram over sparse zone stamps against a touch bitmap with one
@@ -60,13 +60,17 @@ class ReferenceBloom:
         self.inserted_count = 0
 
 
-# a small pool makes repeats (memo hits) and, in small filters, false
-# positives common; the wide range covers arbitrary 64-bit line numbers
+# a small pool makes repeats and queries before an insert common, and, in
+# small filters, false positives; the wide range covers arbitrary 64-bit
+# line numbers
 elements = st.one_of(st.integers(0, 300), st.integers(-(1 << 63), (1 << 64) - 1))
 bloom_ops = st.lists(st.one_of(
     st.tuples(st.just("insert"), elements),
     st.tuples(st.just("query"), elements),
-    st.tuples(st.just("clear"), st.just(0)),
+    st.tuples(st.just("query_then_insert"), elements),
+    st.tuples(st.just("repeat"), st.integers(0, 1 << 16)),  # any earlier insert
+    st.tuples(st.just("bits"), st.just(0)),
+    st.tuples(st.just("clear"), st.integers(1, 2)),         # once or twice
 ), max_size=300)
 
 
@@ -74,20 +78,40 @@ bloom_ops = st.lists(st.one_of(
 @given(capacity=st.integers(1, 400), fpp=st.floats(0.001, 0.6),
        seed=st.integers(0, (1 << 64) - 1), ops=bloom_ops)
 def test_bloom_matches_bytearray_reference(capacity, fpp, seed, ops):
+    # ``fast`` sees only the ops, so members stay queued until an op needs
+    # the table; ``probed`` sees the same ops and a probe after each one
     fast = BloomFilter(capacity, fpp, seed)
+    probed = BloomFilter(capacity, fpp, seed)
     ref = ReferenceBloom(capacity, fpp, seed)
+    inserted = []
     for op, x in ops:
-        if op == "insert":
-            fast.insert(x)
-            ref.insert(x)
-        elif op == "query":
-            assert fast.query(x) == ref.query(x)
-        else:
-            fast.clear()
-            ref.clear()
+        if op == "repeat":
+            if not inserted:
+                continue
+            x = inserted[x % len(inserted)]
+            for _ in range(3):
+                for f in (fast, probed, ref):
+                    f.insert(x)
+        elif op in ("query", "query_then_insert"):
+            assert fast.query(x) == probed.query(x) == ref.query(x)
+            if op == "query_then_insert":
+                for f in (fast, probed, ref):
+                    f.insert(x)
+                inserted.append(x)
+        elif op == "insert":
+            for f in (fast, probed, ref):
+                f.insert(x)
+            inserted.append(x)
+        elif op == "bits":
             assert bytes(fast.bits) == bytes(ref.bits)
+        else:
+            for _ in range(x):
+                for f in (fast, probed, ref):
+                    f.clear()
+        assert fast.inserted_count == probed.inserted_count == ref.inserted_count
+        for p in (x, x + 1, 0, 7):
+            assert probed.query(p) == ref.query(p)
     assert bytes(fast.bits) == bytes(ref.bits)
-    assert fast.inserted_count == ref.inserted_count
     probes = [x for _, x in ops] + list(range(1000, 1300))
     assert [fast.query(x) for x in probes] == [ref.query(x) for x in probes]
 

@@ -19,6 +19,10 @@ from arsenal_sim.metrics import (
 from arsenal_sim.traces import PatternSpec
 
 
+# a no-prefetch run's AMAT, for the tests that read no speedup
+BASELINE_AMAT = 200.0
+
+
 def demand(hits=0, pf=0, late=0, misses=0):
     return {"total": hits + pf + late + misses, "hits": hits,
             "prefetch_hits": pf, "late_prefetch_hits": late, "misses": misses}
@@ -36,13 +40,13 @@ def prefetch(filled=0, **kw):
 class TestComputeMetrics:
     def test_no_prefetches_gives_null_accuracy_zero_coverage(self):
         m = compute_metrics(demand(hits=50, misses=50), prefetch(filled=0),
-                            CacheConfig())
+                            CacheConfig(), BASELINE_AMAT)
         assert m["accuracy"] is None
         assert m["coverage"] == 0.0
 
     def test_coverage_arithmetic(self):
         m = compute_metrics(demand(pf=80, misses=20), prefetch(filled=100),
-                            CacheConfig())
+                            CacheConfig(), BASELINE_AMAT)
         assert m["coverage"] == 0.8
         assert m["accuracy"] == 0.8
 
@@ -54,11 +58,11 @@ class TestComputeMetrics:
 
     def test_zero_accesses_is_an_error(self):
         with pytest.raises(ValueError):
-            compute_metrics(demand(), prefetch(), CacheConfig())
+            compute_metrics(demand(), prefetch(), CacheConfig(), BASELINE_AMAT)
 
     def test_integer_identity_fields(self):
         m = compute_metrics(demand(pf=7, late=3, misses=11),
-                            prefetch(filled=20), CacheConfig())
+                            prefetch(filled=20), CacheConfig(), BASELINE_AMAT)
         # ratios are derived from these exact integers
         assert m["useful"] == 7
         assert m["remaining_misses"] == 14
@@ -66,7 +70,8 @@ class TestComputeMetrics:
         assert m["useful"] + m["remaining_misses"] == 21
 
     def test_late_rate(self):
-        m = compute_metrics(demand(hits=60, late=40), prefetch(), CacheConfig())
+        m = compute_metrics(demand(hits=60, late=40), prefetch(), CacheConfig(),
+                            BASELINE_AMAT)
         assert m["late_rate"] == 0.4
 
 
