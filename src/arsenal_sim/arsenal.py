@@ -24,6 +24,7 @@ from .prefetchers import (
     SppPrefetcher,
     TskidPrefetcher,
 )
+from .traces import check_fields
 
 TSKID = "tskid"
 MLOP = "mlop"
@@ -77,17 +78,15 @@ class ArsenalConfig:
     filter_kind: str = "bloom"   # bloom | exact | paired
     master_seed: int = 0xA5EE
 
+    RANGES = {"score_inc": (0, None), "score_dec": (0, None), "eval_cnt": (1, None),
+              "bf_fpp": (0, 1, True), "bf_est_cap": (1, None)}
+
     def validate(self) -> "ArsenalConfig":
+        check_fields("arsenal", vars(self), vars(ArsenalConfig()), ranges=self.RANGES)
         if self.selection_policy not in ROSTERS:
             raise ValueError(f"unknown selection policy: {self.selection_policy!r}")
         if self.filter_kind not in ("bloom", "exact", "paired"):
             raise ValueError(f"unknown filter kind: {self.filter_kind!r}")
-        if self.eval_cnt < 1:
-            raise ValueError("eval_cnt must be >= 1")
-        if self.score_inc < 0 or self.score_dec < 0:
-            raise ValueError("score_inc and score_dec must be >= 0")
-        if self.bf_est_cap < 1 or not (0.0 < self.bf_fpp < 1.0):
-            raise ValueError("bad bloom filter parameters")
         return self
 
 
@@ -138,8 +137,6 @@ def build_component(name: str, params: dict, max_line: int = DEFAULT_MAX_LINE,
 def build_components(policy: str, component_params: dict | None = None,
                      max_line: int = DEFAULT_MAX_LINE) -> dict:
     """Instantiate the component roster for a selection policy."""
-    if policy not in ROSTERS:
-        raise ValueError(f"unknown selection policy: {policy!r}")
     return {name: build_component(name, component_params or {}, max_line)
             for name in ROSTERS[policy]}
 

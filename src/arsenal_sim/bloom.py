@@ -3,8 +3,8 @@
 Each component prefetcher owns one filter; candidate line addresses go in,
 demanded line addresses are queried against it. Sizing follows the standard
 optimal formulas from a projected capacity and a target false-positive
-probability. An exact-set variant and a paired (bloom + exact) variant exist
-so scoring can be cross-checked against ground truth.
+probability. An exact-set variant, and a paired one that counts the Bloom
+filter's false-positive probes, cross-check scoring against ground truth.
 
 The Bloom filter gives the answers of an m-bit table under Kirsch and
 Mitzenmacher's double hashing ("Less Hashing, Same Performance: Building a
@@ -91,7 +91,7 @@ class BloomFilter:
     """
 
     __slots__ = ("params", "inserted_count", "_m", "_k", "_seed_a", "_seed_b",
-                 "_set_bits", "_members", "_queued", "_positions", "_previous")
+                 "_set_bits", "members", "_queued", "_positions", "_previous")
 
     def __init__(self, capacity: int = 2000, fpp: float = 0.01, seed: int = 0):
         self.params = params = BloomParams.create(capacity, fpp, seed)
@@ -100,7 +100,7 @@ class BloomFilter:
         self._seed_a = params.seed
         self._seed_b = _mix64(params.seed ^ _GOLDEN)
         self._set_bits: set[int] = set()
-        self._members: set[int] = set()
+        self.members: set[int] = set()
         self._queued: list[int] = []
         self.inserted_count = 0
         self._positions: dict[int, tuple[int, ...]] = {}
@@ -151,12 +151,12 @@ class BloomFilter:
 
     def insert(self, element: int) -> None:
         self.inserted_count += 1
-        if element not in self._members:
-            self._members.add(element)
+        if element not in self.members:
+            self.members.add(element)
             self._queued.append(element)
 
     def query(self, element: int) -> bool:
-        members = self._members
+        members = self.members
         if element in members:
             return True
         if not members:
@@ -170,7 +170,7 @@ class BloomFilter:
         """Reset to the freshly-constructed state (same params and seed);
         this phase's memo becomes the previous one."""
         self._set_bits.clear()
-        self._members.clear()
+        self.members.clear()
         self._queued.clear()
         self._previous = self._positions
         self._positions = {}
@@ -195,34 +195,20 @@ class ExactFilter:
         self.members.clear()
 
 
-class PairedFilter:
-    """Bloom filter answering queries, with an exact set riding along.
-
-    Queries return the bloom answer (so behaviour matches a bloom-only run
-    bit for bit) while the exact set counts false-positive probes, which is
+class PairedFilter(BloomFilter):
+    """Bloom filter that counts its false-positive probes: True answers for
+    elements outside its member set. Queries return the bloom answer (so
+    behaviour matches a bloom-only run bit for bit), and the probe count is
     what bounds any score inflation.
     """
 
-    __slots__ = ("bloom", "exact", "false_positive_probes")
-
-    def __init__(self, capacity: int = 2000, fpp: float = 0.01, seed: int = 0):
-        self.bloom = BloomFilter(capacity, fpp, seed)
-        self.exact = ExactFilter()
-        self.false_positive_probes = 0
-
-    def insert(self, element: int) -> None:
-        self.bloom.insert(element)
-        self.exact.insert(element)
+    false_positive_probes = 0
 
     def query(self, element: int) -> bool:
-        answer = self.bloom.query(element)
-        if answer and not self.exact.query(element):
+        answer = super().query(element)
+        if answer and element not in self.members:
             self.false_positive_probes += 1
         return answer
-
-    def clear(self) -> None:
-        self.bloom.clear()
-        self.exact.clear()
 
 
 def make_filter(kind: str, capacity: int, fpp: float, seed: int):

@@ -13,27 +13,18 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .traces import AccessEvent, check_fields
+
 HIT = "hit"
 PREFETCH_HIT = "prefetch_hit"
 LATE_PREFETCH_HIT = "late_prefetch_hit"
 MISS = "miss"
 
 
-class AccessEvent(NamedTuple):
-    pc: int
-    addr: int
-    is_write: bool
-    seq: int
-
-
 class AccessOutcome(NamedTuple):
     kind: str
     latency: int
     is_pae: bool
-
-
-def _is_pow2(x: int) -> bool:
-    return x > 0 and (x & (x - 1)) == 0
 
 
 @dataclass
@@ -48,23 +39,18 @@ class CacheConfig:
     prefetch_fill_delay: int = 40    # ticks from enqueue to resident
     prefetch_queue_capacity: int = 16
 
+    RANGES = {"sets": (1, None), "ways": (1, None), "line_size": (1, None),
+              "hit_latency": (0, None), "miss_latency": (0, None),
+              "late_latency": (0, None), "prefetch_fill_delay": (0, None),
+              "prefetch_queue_capacity": (0, None)}
+
     def validate(self) -> "CacheConfig":
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise ValueError(f"cache field {name} must be an integer, got {value!r}")
-        if not _is_pow2(self.sets):
-            raise ValueError("sets must be a power of two")
-        if not _is_pow2(self.line_size):
-            raise ValueError("line_size must be a power of two")
-        if self.ways < 1:
-            raise ValueError("ways must be >= 1")
+        check_fields("cache", vars(self), vars(CacheConfig()), ranges=self.RANGES)
+        for name, value in (("sets", self.sets), ("line_size", self.line_size)):
+            if value & (value - 1):  # nonzero unless a power of two, as value >= 1
+                raise ValueError(f"{name} must be a power of two")
         if not (self.hit_latency < self.late_latency <= self.miss_latency):
             raise ValueError("require hit_latency < late_latency <= miss_latency")
-        if self.prefetch_fill_delay < 0:
-            raise ValueError("prefetch_fill_delay must be >= 0")
-        if self.prefetch_queue_capacity < 0:
-            raise ValueError("prefetch_queue_capacity must be >= 0")
         return self
 
     @property

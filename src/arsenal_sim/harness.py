@@ -30,11 +30,11 @@ from .arsenal import (
     ArsenalConfig,
     build_component,
 )
-from .cache import AccessEvent, CacheConfig, SetAssociativeCache, amat
+from .cache import CacheConfig, SetAssociativeCache, amat
 from .metrics import COMPARE_METRICS, FORMATS, compute_metrics, overhead_for_test_case
 from .prefetchers import PaeContext
-from .traces import (PatternSpec, check_address_range, check_fields, generate,
-                     reject_unknown, stream_trace_file)
+from .traces import (LENGTH_RANGE, AccessEvent, PatternSpec, check_address_range,
+                     check_fields, generate, reject_unknown, stream_trace_file)
 
 ENGINE_NONE = "none"
 ARSENAL_PREFIX = "arsenal-"
@@ -79,16 +79,16 @@ class StandaloneEngine:
 
 
 # the engine name sets the selection policy, so a config may not
-_ARSENAL_DEFAULTS = {key: value for key, value in vars(ArsenalConfig()).items()
-                     if key != "selection_policy"}
+_ARSENAL_FIELDS = set(ArsenalConfig.__dataclass_fields__) - {"selection_policy"}
 
 
 def _check_component_params(params) -> None:
     reject_unknown("component_params", params, COMPONENTS)
     for name, kw in params.items():
+        cls = COMPONENTS[name].cls
         defaults = {key: p.default for key, p in
-                    inspect.signature(COMPONENTS[name].cls).parameters.items()}
-        check_fields(f"component_params.{name}", kw, defaults)
+                    inspect.signature(cls).parameters.items()}
+        check_fields(f"component_params.{name}", kw, defaults, ranges=cls.RANGES)
 
 
 @dataclass
@@ -114,7 +114,8 @@ class ExperimentConfig:
         if self.pattern is not None:
             self.pattern.validate()
             check_address_range(self.pattern, self.length)
-        check_fields("arsenal", self.arsenal, _ARSENAL_DEFAULTS)
+        reject_unknown("arsenal", self.arsenal, _ARSENAL_FIELDS)
+        ArsenalConfig(**self.arsenal).validate()
         _check_component_params(self.component_params)
         return self
 
@@ -152,7 +153,7 @@ def experiment_from_dict(data) -> ExperimentConfig:
 
     ``out`` and ``format`` are report-sink hints consumed by the CLI.
     """
-    check_fields("experiment", data, _EXPERIMENT_DEFAULTS)
+    check_fields("experiment", data, _EXPERIMENT_DEFAULTS, ranges=LENGTH_RANGE)
     fields = {key: value for key, value in data.items()
               if key not in ("out", "format")}
     if fields.get("pattern") is not None:
@@ -288,7 +289,7 @@ def compare_engines(traces: list[dict], policy: str = TEST_CASE_2,
 
     configs = []
     for index, trace in enumerate(traces):
-        check_fields("compare trace", trace, _TRACE_DEFAULTS)
+        check_fields("compare trace", trace, _TRACE_DEFAULTS, ranges=LENGTH_RANGE)
         pattern = trace.get("pattern")
         configs.append(ExperimentConfig(
             trace_file=trace.get("file"),

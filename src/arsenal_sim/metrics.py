@@ -56,8 +56,6 @@ def compute_metrics(demand: dict, prefetch: dict, config: CacheConfig,
     speedup_proxy = baseline_amat (a no-prefetch run's) / this run's AMAT.
     """
     total = demand["total"]
-    if total == 0:
-        raise ValueError("empty statistics")
     useful = demand["prefetch_hits"]
     remaining_misses = demand["misses"] + demand["late_prefetch_hits"]
     filled = prefetch["filled"]

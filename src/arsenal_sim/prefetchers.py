@@ -16,6 +16,12 @@ from typing import NamedTuple
 
 DEFAULT_MAX_LINE = (1 << 58) - 1  # 64-bit byte addresses, 64-byte lines
 
+# Each class's RANGES bounds its numeric constructor parameters, as (low,
+# high) with a None end unbounded. MAX_PER_PAE caps each that sets how much a
+# PAE walks or allocates (a degree, a lookahead depth, mlop's offsets and
+# levels, spp's slots and GHR), so no value can stall a run or exhaust memory.
+MAX_PER_PAE = 64
+
 _UNSET = object()
 
 
@@ -25,13 +31,6 @@ class PaeContext(NamedTuple):
     seq: int
 
 
-def _require_positive(**params: int) -> None:
-    # a value below 1 would leave the component silently idle or broken
-    for key, value in params.items():
-        if value < 1:
-            raise ValueError(f"{key} must be >= 1")
-
-
 class NextLinePrefetcher:
     """Prefetch the next ``degree`` lines after every trigger.
 
@@ -39,11 +38,13 @@ class NextLinePrefetcher:
     clamped to [1, max_degree].
     """
 
+    RANGES = {"degree": (1, MAX_PER_PAE), "max_degree": (1, MAX_PER_PAE),
+              "degree_divisor": (1, None)}
+
     def __init__(self, degree: int = 1, max_degree: int = 5,
                  degree_divisor: int = 512, max_line: int = DEFAULT_MAX_LINE):
-        if not (1 <= degree <= max_degree):
-            raise ValueError("degree out of range")
-        _require_positive(degree_divisor=degree_divisor)
+        if degree > max_degree:
+            raise ValueError("degree must be <= max_degree")
         self.degree = degree
         self.max_degree = max_degree
         self.degree_divisor = degree_divisor
@@ -76,9 +77,10 @@ def _train_stride(entry: list, delta: int) -> None:
 class IpStridePrefetcher:
     """Per-PC stride table: 64 LRU entries, degree-8 strided candidates."""
 
+    RANGES = {"table_size": (1, None), "degree": (1, MAX_PER_PAE)}
+
     def __init__(self, table_size: int = 64, degree: int = 8,
                  max_line: int = DEFAULT_MAX_LINE):
-        _require_positive(table_size=table_size, degree=degree)
         self.table_size = table_size
         self.degree = degree
         self.max_line = max_line
@@ -133,17 +135,17 @@ class SppPrefetcher:
     SIG_MASK = 0xFFF
     SIG_SHIFT = 3
 
+    # a path's confidence starts at 1 and never rises
+    RANGES = {"st_entries": (1, None), "pt_entries": (1, None),
+              "pt_slots": (1, MAX_PER_PAE), "counter_max": (1, None),
+              "ghr_entries": (1, MAX_PER_PAE), "lookahead_depth": (1, MAX_PER_PAE),
+              "confidence_threshold": (None, 1), "page_lines": (1, None)}
+
     def __init__(self, st_entries: int = 256, pt_entries: int = 512,
                  pt_slots: int = 4, counter_max: int = 15,
                  ghr_entries: int = 8, lookahead_depth: int = 8,
                  confidence_threshold: float = 0.25,
                  page_lines: int = 64, max_line: int = DEFAULT_MAX_LINE):
-        _require_positive(st_entries=st_entries, pt_entries=pt_entries,
-                          pt_slots=pt_slots, ghr_entries=ghr_entries,
-                          lookahead_depth=lookahead_depth, page_lines=page_lines)
-        if not confidence_threshold <= 1:  # NaN too
-            # a path's confidence starts at 1 and never rises
-            raise ValueError("confidence_threshold must be <= 1")
         self.st_entries = st_entries
         self.pt_entries = pt_entries
         self.pt_slots = pt_slots
@@ -299,11 +301,13 @@ class MlopPrefetcher:
     threshold; the deduplicated selection is emitted until the next round.
     """
 
+    RANGES = {"zones": (1, None), "levels": (1, MAX_PER_PAE),
+              "max_offset": (1, MAX_PER_PAE), "round_paes": (1, None),
+              "zone_lines": (1, None)}
+
     def __init__(self, zones: int = 64, levels: int = 8, max_offset: int = 16,
                  round_paes: int = 256, score_threshold: int = 16,
                  zone_lines: int = 64, max_line: int = DEFAULT_MAX_LINE):
-        _require_positive(zones=zones, levels=levels, max_offset=max_offset,
-                          round_paes=round_paes, zone_lines=zone_lines)
         self.zones = zones
         self.levels = levels
         self.max_offset = max_offset
@@ -379,10 +383,11 @@ class TskidPrefetcher:
     (minus a fixed lead) after their trigger.
     """
 
+    RANGES = {"table_size": (1, None)}
+
     def __init__(self, table_size: int = 64, lead: int = 4,
                  verification_expiry: int = 1024,
                  max_line: int = DEFAULT_MAX_LINE):
-        _require_positive(table_size=table_size)
         self.table_size = table_size
         self.lead = lead
         self.verification_expiry = verification_expiry

@@ -11,9 +11,7 @@ deterministic given the pattern spec and its seed.
 import math
 import random
 from dataclasses import dataclass, field, asdict
-from typing import Iterable, Iterator
-
-from .cache import AccessEvent
+from typing import Iterable, Iterator, NamedTuple
 
 SEQUENTIAL = "sequential"
 STRIDE = "stride"
@@ -22,6 +20,13 @@ PC_DELTA = "pc_delta"
 PHASED = "phased"
 
 PATTERN_KINDS = (SEQUENTIAL, STRIDE, RANDOM_WORKING_SET, PC_DELTA, PHASED)
+
+
+class AccessEvent(NamedTuple):
+    pc: int
+    addr: int
+    is_write: bool
+    seq: int
 
 
 class TraceParseError(ValueError):
@@ -80,26 +85,49 @@ def reject_unknown(what: str, data, known) -> None:
         raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
 
 
-def check_fields(what: str, data, defaults: dict, required=()) -> None:
-    """Reject a non-object, unknown or missing keys, values not of their
+def _breach(value, fraction: bool, low=None, high=None, strict=False):
+    """What ``value`` must be when it lies outside [low, high], or outside
+    (low, high) where ``strict``; a None end is unbounded. A fraction's
+    range is one statement, so it is given whole; a count's floor and cap
+    are two, so the broken end is named."""
+    if low is not None and (value <= low if strict else value < low):
+        end = f"{'>' if strict else '>='} {low}"
+    elif high is not None and (value >= high if strict else value > high):
+        end = f"{'<' if strict else '<='} {high}"
+    else:
+        return None
+    if fraction and low is not None and high is not None:
+        return f"in {'(' if strict else '['}{low}, {high}{')' if strict else ']'}"
+    return end
+
+
+def check_fields(what: str, data, defaults: dict, required=(), ranges=None) -> None:
+    """Reject a non-object, unknown or missing keys, and a value not of its
     default's type (an int passes for a float; a bool never passes for an
-    int), and a NaN or infinite float. A None default leaves the value to
-    its own parser."""
+    int), a NaN or infinite float, or one outside its range in ``ranges``,
+    key -> (low, high[, strict]) as ``_breach`` takes them. A None default
+    leaves the value to its own parser."""
     reject_unknown(what, data, defaults)
     missing = [key for key in required if key not in data]
     if missing:
         raise ValueError(f"missing {what} fields: {missing}")
+    ranges = ranges or {}
     for key, value in data.items():
         if defaults[key] is None:
             continue
         expected = type(defaults[key])
         if type(value) is not expected and (expected, type(value)) != (float, int):
-            raise ValueError(f"{what} field {key} must be {expected.__name__}, "
-                             f"got {value!r}")
-        if type(value) is float and not math.isfinite(value):
-            raise ValueError(f"{what} field {key} must be finite, got {value!r}")
+            need = expected.__name__
+        elif type(value) is float and not math.isfinite(value):
+            need = "finite"
+        elif key not in ranges or (
+                need := _breach(value, expected is float, *ranges[key])) is None:
+            continue
+        raise ValueError(f"{what} field {key} must be {need}, got {value!r}")
 
 
+# a long run is legitimate, so a length has no upper bound
+LENGTH_RANGE = {"length": (1, None)}
 _STREAM_DEFAULTS = {"pc": 0, "start": 0, "delta": 0}
 _SEGMENT_DEFAULTS = {"spec": None, "length": 0}
 
@@ -127,7 +155,10 @@ class PatternSpec:
     segments: list = field(default_factory=list)
     seed: int = 0
 
+    RANGES = {"write_fraction": (0, 1), "line_size": (1, None)}
+
     def validate(self) -> "PatternSpec":
+        check_fields("pattern", vars(self), vars(PatternSpec("")), ranges=self.RANGES)
         if self.kind not in PATTERN_KINDS:
             raise ValueError(f"unknown pattern kind: {self.kind!r}")
         if self.kind == STRIDE and self.stride == 0:
@@ -137,12 +168,8 @@ class PatternSpec:
         for stream in self.streams:
             check_fields("pattern stream", stream, _STREAM_DEFAULTS,
                          required=_STREAM_DEFAULTS)
-        if self.line_size < 1:
-            raise ValueError("line_size must be >= 1")
         if self.kind == RANDOM_WORKING_SET and self.working_set_lines < 1:
             raise ValueError("working_set_lines must be >= 1")
-        if not 0.0 <= self.write_fraction <= 1.0:
-            raise ValueError("write_fraction must be in [0, 1]")
         if self.kind == PHASED:
             self._flat_segments()
         return self
@@ -155,12 +182,10 @@ class PatternSpec:
         out = []
         for seg in self.segments:
             check_fields("pattern segment", seg, _SEGMENT_DEFAULTS,
-                         required=_SEGMENT_DEFAULTS)
+                         required=_SEGMENT_DEFAULTS, ranges=LENGTH_RANGE)
             spec = PatternSpec.from_dict(seg["spec"])
             if spec.kind == PHASED:
                 raise ValueError("phased segments must be flat patterns")
-            if seg["length"] <= 0:
-                raise ValueError("phased segment lengths must be positive")
             out.append((spec, seg["length"]))
         return out
 

@@ -4,7 +4,7 @@ The sandbox keeps no log of its own; the tests that replay one against a
 brute-force oracle build it here.
 """
 
-from arsenal_sim.bloom import PairedFilter
+from arsenal_sim.bloom import BloomFilter, PairedFilter
 
 
 def record_paes(arsenal) -> list[dict]:
@@ -41,8 +41,8 @@ def record_paes(arsenal) -> list[dict]:
         line = ctx.line
         queries = {}
         for name, f in paired.items():
-            answer = f.bloom.query(line)
-            fp = answer and not f.exact.query(line)
+            answer = BloomFilter.query(f, line)  # no probe counted
+            fp = answer and line not in f.members
             queries[name] = (answer, fp)
             fp_tally[name] += fp
         candidates.clear()

@@ -18,8 +18,11 @@ from arsenal_sim.arsenal import (
     select_test_case_1,
     select_test_case_2,
 )
+from arsenal_sim.harness import Simulation
 from arsenal_sim.prefetchers import PaeContext
+from arsenal_sim.traces import generate
 from pae_recorder import record_paes
+from random_configs import caches, patterns, score_steps
 
 
 def ctx(line, seq, pc=0x400):
@@ -268,30 +271,46 @@ class TestOracleEquivalence:
         got = [d["scores"] for d in a.selection_timeline]
         assert got == want
 
-    def test_bloom_scores_only_inflate_at_false_positives(self):
-        rng = random.Random(78)
-        a = Arsenal(ArsenalConfig(selection_policy="tc2", filter_kind="paired",
-                                  eval_cnt=64))
+    @settings(max_examples=40, deadline=None)
+    @given(policy=st.sampled_from(["tc1", "tc2"]), cache=caches, pattern=patterns,
+           eval_cnt=st.integers(1, 128), inc=score_steps, dec=score_steps,
+           filter_size=st.sampled_from([(16, 0.3), (64, 0.1), (2000, 0.01)]))
+    def test_bloom_scores_only_inflate_at_false_positives(self, policy, cache, pattern,
+                                                          eval_cnt, inc, dec,
+                                                          filter_size):
+        a = Arsenal(ArsenalConfig(selection_policy=policy, filter_kind="paired",
+                                  eval_cnt=eval_cnt, score_inc=inc, score_dec=dec,
+                                  bf_est_cap=filter_size[0], bf_fpp=filter_size[1]))
         log = record_paes(a)
-        for seq in range(640):
-            a.on_pae(ctx(rng.randrange(2048), seq, pc=0x400 + rng.randrange(8) * 8))
-        # step through the log: wherever no fp probe hit a component, its
-        # bloom answer equals exact membership, so any divergence is fp-tagged
+        Simulation(cache, a).run(generate(pattern, 600))
+        # step through the log against exact membership: an answer differs
+        # from it only at an fp probe, which moves the bloom score by inc up
+        # where the exact one moves by dec down, and saturation only narrows
+        # the gap, so each phase's excess stays within (inc + dec) x its probes
         members = {n: set() for n in a.names}
+        exact = {n: 0 for n in a.names}
+        fps = {n: 0 for n in a.names}
         paes = 0
+        decisions = iter(a.selection_timeline)
         for rec in log:
             for n in a.names:
                 answer, fp = rec["queries"][n]
-                exact = rec["line"] in members[n]
-                if fp:
-                    assert answer and not exact
-                else:
-                    assert answer == exact
-            for n in a.names:
+                member = rec["line"] in members[n]
+                assert answer == (member or fp) and not (member and fp)
+                fps[n] += fp
+                exact[n] = min(SCORE_MAX, exact[n] + inc) if member \
+                    else max(0, exact[n] - dec)
                 members[n].update(rec["candidates"][n])
             paes += 1
-            if paes == 64:
+            # the last PAE of a phase reports the reset scores; its decision
+            # holds the phase's final ones
+            scores = next(decisions)["scores"] if paes == eval_cnt else rec["scores"]
+            for n in a.names:
+                assert exact[n] <= scores[n] <= exact[n] + (inc + dec) * fps[n]
+            if paes == eval_cnt:
                 members = {n: set() for n in a.names}
+                exact = {n: 0 for n in a.names}
+                fps = {n: 0 for n in a.names}
                 paes = 0
 
 

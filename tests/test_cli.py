@@ -1,6 +1,11 @@
+import copy
 import json
+import pathlib
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from arsenal_sim.cli import main, parse_pattern_arg
 from arsenal_sim.harness import Simulation
@@ -25,19 +30,32 @@ def steps(monkeypatch):
     return count
 
 
-def fails_before_running(tmp_path, capsys, steps, config, verb, message):
-    """Run ``verb`` on ``config``: one error line holding ``message``, exit
-    code 1, no report file and no simulated event."""
+def run_config(tmp_path, verb, config):
+    """Run ``verb`` on ``config``, written to a file, with its report sent
+    to another file; the exit code and the report's path."""
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "report.out"
-    assert run_cli(verb, "--config", str(path), "--out", str(out)) == 1
+    return run_cli(verb, "--config", str(path), "--out", str(out)), out
+
+
+def failed_before_running(capsys, steps, out, message):
+    """One error line holding ``message``, no report file at ``out`` and no
+    simulated event."""
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("arsenal-sim: error:")
     assert message in err[0]
     assert not out.exists()
     assert steps[0] == 0
+
+
+def fails_before_running(tmp_path, capsys, steps, config, verb, message):
+    """Run ``verb`` on ``config``: exit code 1, one error line holding
+    ``message``, no report file and no simulated event."""
+    code, out = run_config(tmp_path, verb, config)
+    assert code == 1
+    failed_before_running(capsys, steps, out, message)
 
 
 SEQ = {"kind": "sequential"}
@@ -50,6 +68,8 @@ def phased(*segments):
     segment is reached would show as simulated events."""
     return {"kind": "phased", "segments": [{"spec": SEQ, "length": 300}, *segments]}
 
+
+LATENCIES_BELOW_ZERO = {"hit_latency": -1, "late_latency": 0, "miss_latency": 0}
 
 # (verbs, top-level fields, trace fields, message). For run both sets of
 # fields go into the one experiment; for compare the first goes into the
@@ -125,9 +145,9 @@ MALFORMED = [
     (BOTH, {}, {"pattern": {"kind": "random_working_set", "line_size": -1}},
      "line_size must be >= 1"),
     (BOTH, {"arsenal": {"score_inc": -5}}, {},
-     "score_inc and score_dec must be >= 0"),
+     "arsenal field score_inc must be >= 0, got -5"),
     (BOTH, {"arsenal": {"score_dec": -3, "eval_cnt": 4000}}, {},
-     "score_inc and score_dec must be >= 0"),
+     "arsenal field score_dec must be >= 0, got -3"),
     (BOTH, {"component_params": {"next_line": {"degree_divisor": 0}}}, {},
      "degree_divisor must be >= 1"),
     (BOTH, {"component_params": {"spp": {"pt_entries": 0}}}, {},
@@ -200,7 +220,28 @@ MALFORMED = [
                 "component_params": {"spp": {"confidence_threshold": float("-inf")}}},
      {}, "component_params.spp field confidence_threshold must be finite, got -inf"),
     # an int passes for a float, and no int is infinite, however large
-    (BOTH, {"arsenal": {"bf_fpp": 10 ** 400}}, {}, "bad bloom filter parameters"),
+    (BOTH, {"arsenal": {"bf_fpp": 10 ** 400}}, {},
+     "arsenal field bf_fpp must be in (0, 1), got 1000"),
+    # the latencies' order holds, but a negative hit latency let the AMAT be 0
+    (("run",), {"engine": "none", "cache": LATENCIES_BELOW_ZERO}, {},
+     "cache field hit_latency must be >= 0, got -1"),
+    (("compare",), {"cache": LATENCIES_BELOW_ZERO}, {},
+     "cache field hit_latency must be >= 0, got -1"),
+    # each of these sets one PAE's work or an allocation
+    (("run",), {"engine": "arsenal-tc1",
+                "component_params": {"mlop": {"levels": 2 ** 64}}}, {},
+     f"component_params.mlop field levels must be <= 64, got {2 ** 64}"),
+    (("compare",), {"policy": "tc1",
+                    "component_params": {"mlop": {"levels": 2 ** 64}}}, {},
+     f"component_params.mlop field levels must be <= 64, got {2 ** 64}"),
+    (BOTH, {"component_params": {"ip_stride": {"degree": 2 ** 64}}}, {},
+     f"component_params.ip_stride field degree must be <= 64, got {2 ** 64}"),
+    (BOTH, {"component_params": {"next_line": {"degree": 2 ** 64}}}, {},
+     f"component_params.next_line field degree must be <= 64, got {2 ** 64}"),
+    (BOTH, {"component_params": {"next_line": {"max_degree": 2 ** 64}}}, {},
+     f"component_params.next_line field max_degree must be <= 64, got {2 ** 64}"),
+    (BOTH, {"component_params": {"spp": {"lookahead_depth": 2 ** 64}}}, {},
+     f"component_params.spp field lookahead_depth must be <= 64, got {2 ** 64}"),
 ]
 
 
@@ -220,6 +261,113 @@ def test_malformed_config_fails_before_running(tmp_path, capsys, steps, verb,
                                                top, trace, message):
     fails_before_running(tmp_path, capsys, steps,
                          malformed_config(verb, top, trace), verb, message)
+
+
+# Valid inputs, each small and touching every config object its verb reads.
+# The fuzz property below changes one field of one of them.
+FUZZ_CACHE = {"sets": 16, "ways": 2, "line_size": 64, "hit_latency": 4,
+              "late_latency": 100, "miss_latency": 200, "prefetch_fill_delay": 8,
+              "prefetch_queue_capacity": 8}
+FUZZ_ARSENAL = {"eval_cnt": 32, "score_inc": 4, "score_dec": 1, "min_score": 0,
+                "bf_fpp": 0.05, "bf_est_cap": 200, "filter_kind": "paired"}
+FUZZ_PATTERN = {"kind": "phased", "seed": 3, "segments": [
+    {"spec": {"kind": "stride", "stride": 128, "pc": 0x400}, "length": 100},
+    {"spec": {"kind": "pc_delta", "streams": [
+        {"pc": 0x500, "start": 1 << 20, "delta": 64}]}, "length": 100},
+    {"spec": {"kind": "random_working_set", "working_set_lines": 64,
+              "write_fraction": 0.25, "line_size": 64, "pc_pool": 4},
+     "length": 100}]}
+VALID_INPUTS = {
+    "run": {"engine": "arsenal-tc2", "pattern": FUZZ_PATTERN, "length": 300,
+            "seed": 5, "label": "fuzz", "cache": FUZZ_CACHE, "arsenal": FUZZ_ARSENAL,
+            "component_params": {
+                "spp": {"lookahead_depth": 4, "confidence_threshold": 0.25,
+                        "pt_slots": 4, "page_lines": 64},
+                "ip_stride": {"degree": 4, "table_size": 16},
+                "next_line": {"degree": 1, "max_degree": 5, "degree_divisor": 256}}},
+    "compare": {"policy": "tc1", "seed": 2, "cache": FUZZ_CACHE,
+                "arsenal": FUZZ_ARSENAL,
+                "traces": [{"label": "seq", "pattern": {"kind": "sequential"},
+                            "length": 200}],
+                "component_params": {
+                    "mlop": {"levels": 4, "max_offset": 8, "round_paes": 32,
+                             "zones": 16, "zone_lines": 64, "score_threshold": 4},
+                    "tskid": {"table_size": 16, "lead": 2,
+                              "verification_expiry": 256}}},
+    "gen": FUZZ_PATTERN,   # gen's --pattern, as inline JSON
+}
+WRONG_TYPE, EMPTY, UNKNOWN_KEY = "a wrong type", "an empty container", "an unknown key"
+MUTATIONS = [WRONG_TYPE, None, 0, -1, float("nan"), 2 ** 64, EMPTY, UNKNOWN_KEY]
+
+
+def value_paths(value, path=()):
+    """The path to ``value`` and to every value inside it, as key tuples."""
+    yield path
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from value_paths(item, (*path, key))
+
+
+def path_value(value, path):
+    for step in path:
+        value = value[step]
+    return value
+
+
+def mutated(config, path, mutation):
+    """A copy of ``config`` with one field changed: the value at ``path``
+    replaced, or, for UNKNOWN_KEY, the object at ``path`` given one more key."""
+    root = {"config": copy.deepcopy(config)}
+    holder, key = root, "config"
+    for step in path:
+        holder, key = holder[key], step
+    old = holder[key]
+    if mutation == UNKNOWN_KEY:
+        old["bogus"] = 1
+    elif mutation == WRONG_TYPE:
+        holder[key] = 5 if isinstance(old, str) else "x"
+    elif mutation == EMPTY:
+        holder[key] = [] if isinstance(old, list) else {}
+    else:
+        holder[key] = mutation
+    return root["config"]
+
+
+@pytest.mark.parametrize("verb", list(VALID_INPUTS))
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_one_mutated_field_runs_or_fails_in_one_line(capsys, steps, verb, data):
+    """Any one field set to a wrong type, null, 0, a negative value, NaN,
+    2**64 or an empty container, or an unknown key added, gives a parseable
+    result (exit 0) or one error line before any simulated event (exit 1)."""
+    valid = VALID_INPUTS[verb]
+    mutation = data.draw(st.sampled_from(MUTATIONS), label="mutation")
+    paths = [path for path in value_paths(valid)
+             if mutation != UNKNOWN_KEY or isinstance(path_value(valid, path), dict)]
+    path = data.draw(st.sampled_from(paths), label="path")
+    # a longer trace is valid but slow: a length only moves down
+    assume(not (path and path[-1] == "length" and mutation == 2 ** 64))
+    config = mutated(valid, path, mutation)
+    capsys.readouterr()
+    steps[0] = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        if verb == "gen":
+            out = tmp / "trace.out"
+            code = run_cli("gen", "--pattern", json.dumps(config), "--length", "300",
+                           "--out", str(out))
+        else:
+            code, out = run_config(tmp, verb, config)
+        if code == 0:
+            if verb == "gen":
+                assert len(list(stream_trace_file(str(out)))) == 300
+            else:
+                assert json.loads(out.read_text())["schema"].startswith("arsenal-sim-")
+        else:
+            assert code == 1
+            failed_before_running(capsys, steps, out, "")
 
 
 class TestGen:
@@ -341,7 +489,7 @@ class TestRun:
         assert "unknown experiment fields" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fields,message", [
-        ({"cache": {"sets": "64"}}, "cache field sets must be an integer"),
+        ({"cache": {"sets": "64"}}, "cache field sets must be int, got '64'"),
         ({"arsenal": {"eval_cnt": 64, "evalcnt": 64}},
          "unknown arsenal fields: ['evalcnt']"),
         ({"component_params": {"spp": {"depth": 3}}},

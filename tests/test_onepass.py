@@ -5,13 +5,14 @@ engines of a trace, over a single ``ExperimentConfig.events()`` pass, a
 slice of events at a time. The references here run every simulation
 separately, each over its own ``Simulation.run(cfg.events())``. Over the
 same random configs, a run report's per-component counts add up to its
-prefetch and demand totals.
+prefetch and demand totals, and every engine of a pass counts each demand
+access once.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arsenal_sim.cache import CacheConfig, amat
+from arsenal_sim.cache import amat
 from arsenal_sim.harness import (
     ARSENAL_PREFIX,
     ENGINE_NAMES,
@@ -21,37 +22,16 @@ from arsenal_sim.harness import (
     Simulation,
     build_engine,
     compare_engines,
+    run_engines,
     run_experiment,
 )
 from arsenal_sim.metrics import compute_metrics
 from arsenal_sim.traces import PatternSpec, generate, write_trace
+from random_configs import caches, patterns, score_steps
 
 LENGTHS = [1, SLICE_EVENTS - 1, SLICE_EVENTS, SLICE_EVENTS + 1,
            3 * SLICE_EVENTS + 17]
 
-PATTERNS = [
-    {"kind": "sequential"},
-    {"kind": "stride", "stride": 320},
-    {"kind": "random_working_set", "working_set_lines": 96,
-     "write_fraction": 0.3},
-    {"kind": "pc_delta", "streams": [
-        {"pc": 0x400, "start": 0, "delta": 128},
-        {"pc": 0x408, "start": 1 << 20, "delta": -64}]},
-    {"kind": "phased", "segments": [
-        {"spec": {"kind": "stride", "stride": 192}, "length": 100},
-        {"spec": {"kind": "random_working_set", "working_set_lines": 64},
-         "length": 150}]},
-]
-
-caches = st.builds(
-    CacheConfig,
-    sets=st.sampled_from([1, 4, 16]),
-    ways=st.sampled_from([1, 2, 4]),
-    prefetch_fill_delay=st.sampled_from([0, 3, 40]),
-    prefetch_queue_capacity=st.sampled_from([0, 2, 16]),
-)
-patterns = st.builds(lambda spec, seed: PatternSpec.from_dict({**spec, "seed": seed}),
-                     st.sampled_from(PATTERNS), st.integers(0, 50))
 # short phases, so the sandbox decides and resets within the trace
 arsenal_params = st.sampled_from([{}, {"eval_cnt": 32}])
 
@@ -94,11 +74,14 @@ def test_run_report_matches_separate_runs(engine, pattern, cache, length, arsena
 
 @settings(max_examples=100, deadline=None)
 @given(engine=st.sampled_from(ENGINE_NAMES), pattern=patterns, cache=caches,
-       length=st.sampled_from(LENGTHS), eval_cnt=st.integers(1, 600))
-def test_per_source_accounting_is_conserved(engine, pattern, cache, length, eval_cnt):
+       length=st.sampled_from(LENGTHS), eval_cnt=st.integers(1, 600),
+       score_inc=score_steps, score_dec=score_steps)
+def test_per_source_accounting_is_conserved(engine, pattern, cache, length, eval_cnt,
+                                            score_inc, score_dec):
     report = run_experiment(ExperimentConfig(
         engine=engine, pattern=pattern, length=length, cache=cache,
-        arsenal={"eval_cnt": eval_cnt}, seed=7))
+        arsenal={"eval_cnt": eval_cnt, "score_inc": score_inc,
+                 "score_dec": score_dec}, seed=7))
     rows = report["per_component"].values()
     prefetch = report["prefetch"]
     for total, field in (("attempted", "issued"), ("accepted", "accepted"),
@@ -109,6 +92,23 @@ def test_per_source_accounting_is_conserved(engine, pattern, cache, length, eval
         chosen = {decision["chosen"] for decision in report["selection_timeline"]}
         for name, row in report["per_component"].items():
             assert not row["issued"] or name in chosen, name
+
+
+@settings(max_examples=30, deadline=None)
+@given(pattern=patterns, cache=caches, length=st.sampled_from(LENGTHS),
+       eval_cnt=st.integers(1, 600), score_inc=score_steps, score_dec=score_steps)
+def test_demand_counts_do_not_depend_on_the_engine(pattern, cache, length, eval_cnt,
+                                                   score_inc, score_dec):
+    cfg = ExperimentConfig(pattern=pattern, length=length, cache=cache, seed=7,
+                           arsenal={"eval_cnt": eval_cnt, "score_inc": score_inc,
+                                    "score_dec": score_dec})
+    sims = {engine: sim for engine, (sim, _) in run_engines(cfg, ENGINE_NAMES).items()}
+    baseline = sims["none"].cache.demand_counts()
+    for engine, sim in sims.items():
+        demand = sim.cache.demand_counts()
+        assert demand["total"] == length, engine  # each access counted once
+        if cache.prefetch_queue_capacity == 0:  # no prefetch can change an outcome
+            assert demand == baseline, engine
 
 
 @settings(max_examples=40, deadline=None)

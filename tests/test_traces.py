@@ -202,10 +202,14 @@ class TestValidation:
         ({"kind": "pc_delta", "streams": [{"pc": 4, "start": 0, "delta": 64},
                                           {"pc": 8, "start": 0}]},
          "missing pattern stream fields: ['delta']"),
-        ({"kind": "sequential", "line_size": 0}, "line_size must be >= 1"),
-        ({"kind": "sequential", "line_size": -64}, "line_size must be >= 1"),
-        ({"kind": "random_working_set", "line_size": 0}, "line_size must be >= 1"),
-        ({"kind": "random_working_set", "line_size": -1}, "line_size must be >= 1"),
+        ({"kind": "sequential", "line_size": 0},
+         "pattern field line_size must be >= 1, got 0"),
+        ({"kind": "sequential", "line_size": -64},
+         "pattern field line_size must be >= 1, got -64"),
+        ({"kind": "random_working_set", "line_size": 0},
+         "pattern field line_size must be >= 1, got 0"),
+        ({"kind": "random_working_set", "line_size": -1},
+         "pattern field line_size must be >= 1, got -1"),
     ])
     def test_from_dict_rejects_malformed_parts(self, data, message):
         with pytest.raises(ValueError) as err:
