@@ -5,16 +5,16 @@ against each component's Bloom filter and the component's score moves up on
 a match (it predicted this demand) or down on a miss. Then every component
 generates candidates for the event; the candidates land in that component's
 filter and bump its counters. Only the currently-selected component's
-candidates are forwarded to the real prefetch queue. Once every evaluation
-counter reaches the phase length, a selection rule picks the next live
-component and the sandbox state (filters, counters, scores) resets; the
-selection itself persists through the following phase.
+candidates are forwarded to the real prefetch queue. Every component sees
+every PAE, so one evaluation counter serves them all: once it reaches the
+phase length, a selection rule picks the next live component and the sandbox
+state (filters, counters, scores) resets; the selection persists after.
 """
 
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .bloom import component_seed, make_filter
+from .bloom import component_seed, derive_parameters, make_filter
 from .prefetchers import (
     DEFAULT_MAX_LINE,
     IpStridePrefetcher,
@@ -87,6 +87,8 @@ class ArsenalConfig:
             raise ValueError(f"unknown selection policy: {self.selection_policy!r}")
         if self.filter_kind not in ("bloom", "exact", "paired"):
             raise ValueError(f"unknown filter kind: {self.filter_kind!r}")
+        # the overhead report sizes a Bloom filter whatever the filter kind
+        derive_parameters(self.bf_est_cap, self.bf_fpp)
         return self
 
 
@@ -157,8 +159,9 @@ class Arsenal:
                               component_seed(self.config.master_seed, i))
             for i, name in enumerate(self.names)
         }
-        # per component: [eval_counter, prefetch_counter, score]
-        self.scoreboard = {name: [0, 0, 0] for name in self.names}
+        # per component: [prefetch_counter, score]
+        self.scoreboard = {name: [0, 0] for name in self.names}
+        self.eval_counter = 0   # PAEs of this phase, each seen by every component
         # (name, component, filter, scoreboard row), in roster order; the
         # rows are the scoreboard's own lists, so both views stay in step
         self._rows = [(name, components[name], self.filters[name],
@@ -173,11 +176,11 @@ class Arsenal:
         dec = self.config.score_dec
         for _, _, f, sb in self._rows:
             if f.query(line):
-                score = sb[2] + inc
-                sb[2] = score if score < SCORE_MAX else SCORE_MAX
+                score = sb[1] + inc
+                sb[1] = score if score < SCORE_MAX else SCORE_MAX
             else:
-                score = sb[2] - dec
-                sb[2] = score if score > 0 else 0
+                score = sb[1] - dec
+                sb[1] = score if score > 0 else 0
 
     def on_pae(self, ctx: PaeContext) -> tuple[Optional[str], list[int]]:
         """(the deployed component, its candidates for this PAE)."""
@@ -188,28 +191,26 @@ class Arsenal:
         live: list[int] = []
         for name, component, f, sb in self._rows:
             candidates = component.on_pae(ctx)
-            sb[0] += 1
             if candidates:
                 n = len(candidates)
                 totals[name] += n
-                n += sb[1]
-                sb[1] = n if n < PREFETCH_COUNTER_MAX else PREFETCH_COUNTER_MAX
+                n += sb[0]
+                sb[0] = n if n < PREFETCH_COUNTER_MAX else PREFETCH_COUNTER_MAX
                 insert = f.insert
                 for c in candidates:
                     insert(c)
                 if name == selected:
                     live = candidates
 
-        # the rows' evaluation counters move together; sb is the last row's
-        if sb[0] >= self.config.eval_cnt:
+        self.eval_counter += 1
+        if self.eval_counter >= self.config.eval_cnt:
             self._decide(ctx.seq)
         return selected, live
 
     def _decide(self, decided_at: int) -> None:
         cfg = self.config
         scores = self.scores()
-        counters = {name: sb[1] for name, _, _, sb in self._rows}
-        evals = {name: sb[0] for name, _, _, sb in self._rows}
+        counters = {name: sb[0] for name, _, _, sb in self._rows}
         if cfg.selection_policy == TEST_CASE_1:
             chosen = select_test_case_1(scores, counters, self.chosen,
                                         cfg.tskid_selection_attempt)
@@ -222,7 +223,7 @@ class Arsenal:
             "chosen": chosen,
             "scores": scores,
             "prefetch_counters": counters,
-            "eval_counters": evals,
+            "eval_counters": dict.fromkeys(self.names, self.eval_counter),
         })
         self.chosen = chosen
         self.phase_reset()
@@ -231,13 +232,14 @@ class Arsenal:
         """Zero the sandbox: counters, scores, filters. Selection persists."""
         nl = self.components.get(NEXT_LINE)
         if nl is not None:
-            nl.set_degree(self.scoreboard[NEXT_LINE][2])
+            nl.set_degree(self.scoreboard[NEXT_LINE][1])
+        self.eval_counter = 0
         for _, _, f, sb in self._rows:
-            sb[:] = (0, 0, 0)
+            sb[:] = (0, 0)
             f.clear()
 
     def scores(self) -> dict[str, int]:
-        return {name: sb[2] for name, _, _, sb in self._rows}
+        return {name: sb[1] for name, _, _, sb in self._rows}
 
     def describe(self) -> dict:
         cfg = self.config

@@ -42,7 +42,11 @@ def derive_parameters(n: int, p: float) -> tuple[int, int]:
         raise ValueError("projected capacity must be at least 1")
     if not (0.0 < p < 1.0):
         raise ValueError("false-positive probability must be in (0, 1)")
-    m = math.ceil(n * math.log(1.0 / p) / (math.log(2.0) ** 2))
+    try:  # n beyond float range, or a p so small that 1/p is infinite
+        m = math.ceil(n * math.log(1.0 / p) / (math.log(2.0) ** 2))
+    except OverflowError:
+        raise ValueError(f"projected capacity {n} at false-positive probability "
+                         f"{p!r} sizes a bit table beyond float range") from None
     k = max(1, int(round((m / n) * math.log(2.0))))
     return m, k
 

@@ -13,12 +13,14 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .traces import AccessEvent, check_fields
+from .traces import INT_CAP, AccessEvent, check_fields
 
 HIT = "hit"
 PREFETCH_HIT = "prefetch_hit"
 LATE_PREFETCH_HIT = "late_prefetch_hit"
 MISS = "miss"
+
+SOURCE_FIELDS = ("issued", "accepted", "filled", "useful")  # a source's row
 
 
 class AccessOutcome(NamedTuple):
@@ -40,8 +42,8 @@ class CacheConfig:
     prefetch_queue_capacity: int = 16
 
     RANGES = {"sets": (1, None), "ways": (1, None), "line_size": (1, None),
-              "hit_latency": (0, None), "miss_latency": (0, None),
-              "late_latency": (0, None), "prefetch_fill_delay": (0, None),
+              "hit_latency": (0, INT_CAP), "miss_latency": (0, INT_CAP),
+              "late_latency": (0, INT_CAP), "prefetch_fill_delay": (0, None),
               "prefetch_queue_capacity": (0, None)}
 
     def validate(self) -> "CacheConfig":
@@ -66,9 +68,10 @@ class CacheConfig:
 class SetAssociativeCache:
     """LRU set-associative cache plus an in-flight prefetch list.
 
-    Line state per set: line -> [prefetched_flag, source]. Each set dict
-    is kept in touch order (a touch re-inserts its line at the end), so the
-    least recently used line is the first key.
+    Line state per set: line -> its source's count row while the line is
+    prefetched and not yet demanded, else False. Each set dict is kept in
+    touch order (a touch re-inserts its line at the end), so the least
+    recently used line is the first key.
     """
 
     def __init__(self, config: CacheConfig):
@@ -77,34 +80,26 @@ class SetAssociativeCache:
         self._set_mask = config.sets - 1
         self._ways = config.ways
         # a set's dict is made on first touch, so the set count costs nothing
-        self._sets: defaultdict[int, dict[int, list]] = defaultdict(dict)
-        self._inflight: dict[int, list] = {}   # line -> [fill_seq, source]
+        self._sets: defaultdict[int, dict[int, list | bool]] = defaultdict(dict)
+        self._inflight: dict[int, tuple] = {}   # line -> (fill_seq, source row)
         self._fifo: deque[tuple[int, int]] = deque()  # (line, fill_seq), fill order
         cfg = self.config
         self._out_hit = AccessOutcome(HIT, cfg.hit_latency, False)
         self._out_pf = AccessOutcome(PREFETCH_HIT, cfg.hit_latency, True)
         self._out_late = AccessOutcome(LATE_PREFETCH_HIT, cfg.late_latency, True)
         self._out_miss = AccessOutcome(MISS, cfg.miss_latency, True)
-        # demand outcome counters
+        # demand outcome counters; a prefetch hit is its source's useful count
         self.hits = 0
-        self.prefetch_hits = 0
         self.late_prefetch_hits = 0
         self.misses = 0
         # prefetch queue counters
-        self.pf_attempted = 0
-        self.pf_accepted = 0
         self.pf_dropped_resident = 0
         self.pf_dropped_in_flight = 0
         self.pf_dropped_queue_full = 0
-        self.pf_filled = 0
-        self.pf_late_converted = 0
         self.evictions = 0
         self.evicted_unused_prefetches = 0
-        # per source: useful <= filled <= accepted <= issued
-        self.issued_by_source: dict[str, int] = {}
-        self.accepted_by_source: dict[str, int] = {}
-        self.filled_by_source: dict[str, int] = {}
-        self.useful_by_source: dict[str, int] = {}
+        # source -> its SOURCE_FIELDS counts; the prefetch totals are their sums
+        self.by_source: defaultdict[str, list[int]] = defaultdict(lambda: [0, 0, 0, 0])
 
     def is_resident(self, line: int) -> bool:
         return line in self._sets[line & self._set_mask]
@@ -113,14 +108,13 @@ class SetAssociativeCache:
     def in_flight_count(self) -> int:
         return len(self._inflight)
 
-    def _install(self, line: int, prefetched: bool, source) -> None:
+    def _install(self, line: int, row) -> None:
         lines = self._sets[line & self._set_mask]
         if len(lines) >= self._ways and line not in lines:
-            state = lines.pop(next(iter(lines)))
             self.evictions += 1
-            if state[0]:
+            if lines.pop(next(iter(lines))):
                 self.evicted_unused_prefetches += 1
-        lines[line] = [prefetched, source]
+        lines[line] = row
 
     def access(self, event: AccessEvent) -> AccessOutcome:
         """Classify one demand access and update cache state.
@@ -133,33 +127,28 @@ class SetAssociativeCache:
             self.fill_due(event.seq)
         line = event.addr >> self._shift
         lines = self._sets[line & self._set_mask]
-        entry = lines.pop(line, None)
-        if entry is not None:
-            lines[line] = entry
-            if entry[0]:
-                # a prefetched line yields exactly one prefetch hit
-                entry[0] = False
-                self.prefetch_hits += 1
-                src = entry[1]
-                self.useful_by_source[src] = self.useful_by_source.get(src, 0) + 1
+        row = lines.pop(line, None)
+        if row is not None:
+            # a prefetched line yields exactly one prefetch hit
+            lines[line] = False
+            if row:
+                row[3] += 1
                 return self._out_pf
             self.hits += 1
             return self._out_hit
-        pending = self._inflight.pop(line, None)
-        if pending is not None:
+        if self._inflight.pop(line, None) is not None:
             # near-miss: the in-flight entry becomes this demand's fill
             self.late_prefetch_hits += 1
-            self.pf_late_converted += 1
-            self._install(line, False, None)
+            self._install(line, False)
             return self._out_late
         self.misses += 1
-        self._install(line, False, None)
+        self._install(line, False)
         return self._out_miss
 
     def enqueue_prefetch(self, line: int, source: str, now: int) -> bool:
         """Queue a line for prefetch; False when deduped or the queue is full."""
-        self.pf_attempted += 1
-        self.issued_by_source[source] = self.issued_by_source.get(source, 0) + 1
+        row = self.by_source[source]
+        row[0] += 1
         if line in self._sets[line & self._set_mask]:
             self.pf_dropped_resident += 1
             return False
@@ -170,10 +159,9 @@ class SetAssociativeCache:
             self.pf_dropped_queue_full += 1
             return False
         fill_seq = now + self.config.prefetch_fill_delay
-        self._inflight[line] = [fill_seq, source]
+        self._inflight[line] = (fill_seq, row)
         self._fifo.append((line, fill_seq))
-        self.pf_accepted += 1
-        self.accepted_by_source[source] = self.accepted_by_source.get(source, 0) + 1
+        row[1] += 1
         return True
 
     def fill_due(self, now: int) -> int:
@@ -189,32 +177,37 @@ class SetAssociativeCache:
             entry = inflight.get(line)
             if entry is None or entry[0] != fill_seq:
                 continue  # stale: converted to a demand fill in the meantime
-            del inflight[line]
-            self._install(line, True, entry[1])
-            self.pf_filled += 1
-            src = entry[1]
-            self.filled_by_source[src] = self.filled_by_source.get(src, 0) + 1
+            row = inflight.pop(line)[1]
+            self._install(line, row)
+            row[2] += 1
             filled += 1
         return filled
 
+    def _totals(self) -> list[int]:
+        """The SOURCE_FIELDS counts summed over every source."""
+        return [sum(counts) for counts in zip(*self.by_source.values())] or [0, 0, 0, 0]
+
     def demand_counts(self) -> dict[str, int]:
+        prefetch_hits = self._totals()[3]
         return {
-            "total": self.hits + self.prefetch_hits + self.late_prefetch_hits + self.misses,
+            "total": self.hits + prefetch_hits + self.late_prefetch_hits + self.misses,
             "hits": self.hits,
-            "prefetch_hits": self.prefetch_hits,
+            "prefetch_hits": prefetch_hits,
             "late_prefetch_hits": self.late_prefetch_hits,
             "misses": self.misses,
         }
 
     def prefetch_counts(self) -> dict[str, int]:
+        issued, accepted, filled, _ = self._totals()
         return {
-            "attempted": self.pf_attempted,
-            "accepted": self.pf_accepted,
+            "attempted": issued,
+            "accepted": accepted,
             "dropped_resident": self.pf_dropped_resident,
             "dropped_in_flight": self.pf_dropped_in_flight,
             "dropped_queue_full": self.pf_dropped_queue_full,
-            "filled": self.pf_filled,
-            "late_converted": self.pf_late_converted,
+            "filled": filled,
+            # a late prefetch hit is an in-flight prefetch made a demand fill
+            "late_converted": self.late_prefetch_hits,
             "in_flight_at_end": len(self._inflight),
             "evictions": self.evictions,
             "evicted_unused_prefetches": self.evicted_unused_prefetches,

@@ -23,8 +23,8 @@ from .harness import (
 )
 from .arsenal import ROSTERS, TEST_CASE_2
 from .metrics import FORMATS, emit_report, overhead, overhead_for_test_case
-from .traces import (PatternSpec, check_address_range, check_fields, generate,
-                     write_trace)
+from .traces import (LENGTH_RANGE, PatternSpec, check_address_range, check_fields,
+                     generate, write_trace)
 
 
 def parse_pattern_arg(text: str) -> PatternSpec:
@@ -133,8 +133,7 @@ def cmd_gen(args) -> int:
     spec = parse_pattern_arg(args.pattern)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
-    if args.length < 1:
-        raise ValueError("length must be >= 1")
+    check_fields("gen", {"length": args.length}, {"length": 1}, ranges=LENGTH_RANGE)
     check_address_range(spec, args.length)
     with _open_sink(args.out) as sink:
         write_trace(generate(spec, args.length), sink)

@@ -30,7 +30,7 @@ from .arsenal import (
     ArsenalConfig,
     build_component,
 )
-from .cache import CacheConfig, SetAssociativeCache, amat
+from .cache import SOURCE_FIELDS, CacheConfig, SetAssociativeCache, amat
 from .metrics import COMPARE_METRICS, FORMATS, compute_metrics, overhead_for_test_case
 from .prefetchers import PaeContext
 from .traces import (LENGTH_RANGE, AccessEvent, PatternSpec, check_address_range,
@@ -86,8 +86,9 @@ def _check_component_params(params) -> None:
     reject_unknown("component_params", params, COMPONENTS)
     for name, kw in params.items():
         cls = COMPONENTS[name].cls
+        # max_line is the cache's, so a config may not set it
         defaults = {key: p.default for key, p in
-                    inspect.signature(cls).parameters.items()}
+                    inspect.signature(cls).parameters.items() if key != "max_line"}
         check_fields(f"component_params.{name}", kw, defaults, ranges=cls.RANGES)
 
 
@@ -235,15 +236,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     engine = sim.engine
     cache = sim.cache
 
-    # every source that filled or made a prefetch useful also issued it
     shadow = getattr(engine, "total_candidates", {})
     per_component = {name: {
         "shadow_candidates": shadow.get(name, 0),
-        "issued": cache.issued_by_source.get(name, 0),
-        "accepted": cache.accepted_by_source.get(name, 0),
-        "filled": cache.filled_by_source.get(name, 0),
-        "useful": cache.useful_by_source.get(name, 0),
-    } for name in sorted(set(cache.issued_by_source) | set(shadow))}
+        **dict(zip(SOURCE_FIELDS, cache.by_source.get(name, (0, 0, 0, 0)))),
+    } for name in sorted(set(cache.by_source) | set(shadow))}
 
     report = {
         "schema": "arsenal-sim-report-v1",

@@ -7,6 +7,7 @@ import json
 from .arsenal import COMPONENTS, ROSTERS
 from .bloom import derive_parameters
 from .cache import CacheConfig, amat
+from .traces import INT_CAP, check_fields
 
 # per-component framework counter widths (bits). The evaluation counter is
 # charged 9 bits although the default eval_cnt is 512: the 9-bit counter's
@@ -84,8 +85,8 @@ def overhead(n_components: int, bloom_capacity: int = 2000,
     metadata fields, and the hash-salt table of the reference filter layout),
     and a share of the threshold registers.
     """
-    if n_components < 1:
-        raise ValueError("n_components must be >= 1")
+    check_fields("overhead", {"n_components": n_components}, {"n_components": 1},
+                 ranges={"n_components": (1, INT_CAP)})
     component_costs_kb = component_costs_kb or {}
 
     counter_bits = EVAL_COUNTER_BITS + PREFETCH_COUNTER_BITS + SCORE_BITS

@@ -49,14 +49,14 @@ class TestScoreDemand:
 
     def test_ceiling_at_11_bits(self):
         a = tc2_arsenal()
-        a.scoreboard[SPP][2] = 2046
+        a.scoreboard[SPP][1] = 2046
         a.filters[SPP].insert(123)
         a.score_demand(123)
         assert a.scores()[SPP] == 2047
 
     def test_miss_subtracts_one(self):
         a = tc2_arsenal()
-        a.scoreboard[SPP][2] = 10
+        a.scoreboard[SPP][1] = 10
         a.score_demand(999)
         assert a.scores()[SPP] == 9
 
@@ -131,7 +131,7 @@ class TestOnPae:
         a = tc2_arsenal()
         _, out = a.on_pae(ctx(100, 0))
         assert out == []
-        assert all(a.scoreboard[n][0] == 1 for n in a.names)
+        assert a.eval_counter == 1
         # next-line shadowed lines are in its filter
         assert a.filters[NEXT_LINE].query(101)
 
@@ -153,8 +153,8 @@ class TestOnPae:
         decision = a.selection_timeline[0]
         assert decision["eval_counters"] == {SPP: 512, IP_STRIDE: 512, NEXT_LINE: 512}
         assert decision["decided_at"] == 511
-        # counters are back to zero after the reset
-        assert all(a.scoreboard[n][0] == 0 for n in a.names)
+        # the counter is back to zero after the reset
+        assert a.eval_counter == 0
 
     def test_selection_every_eval_cnt_paes(self):
         a = tc2_arsenal(eval_cnt=64)
@@ -188,21 +188,21 @@ class TestOnPae:
         a = tc2_arsenal(eval_cnt=32)
         for i in range(200):
             a.on_pae(ctx(i, i))
-            assert all(a.scoreboard[n][0] <= 31 for n in a.names)
+            assert a.eval_counter <= 31
 
     def test_prefetch_counter_saturates_at_12_bits(self):
         a = tc2_arsenal(eval_cnt=100_000)  # no reset during the test
         for i in range(800):
             a.on_pae(ctx(i, i))
-            assert all(a.scoreboard[n][1] <= PREFETCH_COUNTER_MAX for n in a.names)
+            assert all(a.scoreboard[n][0] <= PREFETCH_COUNTER_MAX for n in a.names)
         # sequential stream: next-line and spp both shadow thousands of lines
-        assert a.scoreboard[SPP][1] == PREFETCH_COUNTER_MAX
+        assert a.scoreboard[SPP][0] == PREFETCH_COUNTER_MAX
 
     def test_score_never_exceeds_11_bits(self):
         a = tc2_arsenal(eval_cnt=100_000)
         for i in range(700):
             a.on_pae(ctx(i, i))
-            assert all(a.scoreboard[n][2] <= SCORE_MAX for n in a.names)
+            assert all(a.scoreboard[n][1] <= SCORE_MAX for n in a.names)
 
 
 class TestPhaseReset:
@@ -211,15 +211,16 @@ class TestPhaseReset:
         for i in range(100):
             a.on_pae(ctx(i, i))
         a.phase_reset()
+        assert a.eval_counter == 0
         for name in a.names:
-            assert a.scoreboard[name] == [0, 0, 0]
+            assert a.scoreboard[name] == [0, 0]
             assert not a.filters[name].query(50)
         a.score_demand(42)
         assert a.scores() == {n: 0 for n in a.names}
 
     def test_reset_applies_next_line_degree(self):
         a = tc2_arsenal()
-        a.scoreboard[NEXT_LINE][2] = 1600
+        a.scoreboard[NEXT_LINE][1] = 1600
         a.phase_reset()
         assert a.components[NEXT_LINE].degree == 4
 

@@ -8,6 +8,7 @@ from arsenal_sim.cache import (
     LATE_PREFETCH_HIT,
     MISS,
     PREFETCH_HIT,
+    SOURCE_FIELDS,
     AccessEvent,
     CacheConfig,
     SetAssociativeCache,
@@ -21,6 +22,12 @@ def ev(line, seq, pc=0x400):
 
 def make_cache(**overrides):
     return SetAssociativeCache(CacheConfig(**overrides))
+
+
+def per_source(cache, field):
+    """source -> its nonzero count of ``field``, one of SOURCE_FIELDS."""
+    i = SOURCE_FIELDS.index(field)
+    return {source: row[i] for source, row in cache.by_source.items() if row[i]}
 
 
 class TestAccessClassification:
@@ -50,7 +57,7 @@ class TestAccessClassification:
         second = c.access(ev(9, 101))
         assert second.kind == HIT
         assert not second.is_pae
-        assert c.useful_by_source == {"nl": 1}
+        assert per_source(c, "useful") == {"nl": 1}
 
     def test_demand_to_in_flight_line_is_late(self):
         c = make_cache()
@@ -61,7 +68,7 @@ class TestAccessClassification:
         assert out.latency == 100
         assert out.is_pae
         assert c.in_flight_count == 0  # converted to a demand fill
-        assert c.pf_late_converted == 1
+        assert c.prefetch_counts()["late_converted"] == 1
         # resident now, as a demand line: next touch is a plain hit
         assert c.access(ev(9, 11)).kind == HIT
 
@@ -109,7 +116,7 @@ class TestEnqueue:
         assert c.fill_due(46) == 0
         assert c.fill_due(47) == 1
         assert c.is_resident(12)
-        assert c.filled_by_source == {"nl": 1}
+        assert per_source(c, "filled") == {"nl": 1}
 
     def test_duplicate_in_flight_rejected(self):
         c = make_cache()
@@ -156,8 +163,8 @@ class TestFillDue:
         assert c.enqueue_prefetch(9, "nl", 0)
         out = c.access(ev(9, 40))
         assert out.kind == PREFETCH_HIT
-        assert c.filled_by_source == {"nl": 1}
-        assert c.useful_by_source == {"nl": 1}
+        assert per_source(c, "filled") == {"nl": 1}
+        assert per_source(c, "useful") == {"nl": 1}
         assert c.in_flight_count == 0
 
 

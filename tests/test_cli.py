@@ -242,6 +242,20 @@ MALFORMED = [
      f"component_params.next_line field max_degree must be <= 64, got {2 ** 64}"),
     (BOTH, {"component_params": {"spp": {"lookahead_depth": 2 ** 64}}}, {},
      f"component_params.spp field lookahead_depth must be <= 64, got {2 ** 64}"),
+    # numbers beyond float range: an AMAT and the overhead report are floats,
+    # and the report sizes a Bloom filter whatever the filter kind
+    (BOTH, {"cache": {"miss_latency": 10 ** 400}}, {},
+     f"cache field miss_latency must be <= {2 ** 64}, got 1000"),
+    *[(BOTH, {"arsenal": {field: value, "filter_kind": kind}}, {},
+       "sizes a bit table beyond float range")
+      for field, value in (("bf_est_cap", 10 ** 400), ("bf_fpp", 5e-324))
+      for kind in ("bloom", "exact", "paired")],
+    # the cache sets a component's max_line
+    (("run",), {"engine": "next-line",
+                "component_params": {"next_line": {"max_line": 5}}}, {},
+     "unknown component_params.next_line fields: ['max_line']"),
+    (("compare",), {"component_params": {"spp": {"max_line": 5}}}, {},
+     "unknown component_params.spp fields: ['max_line']"),
 ]
 
 
@@ -297,7 +311,8 @@ VALID_INPUTS = {
     "gen": FUZZ_PATTERN,   # gen's --pattern, as inline JSON
 }
 WRONG_TYPE, EMPTY, UNKNOWN_KEY = "a wrong type", "an empty container", "an unknown key"
-MUTATIONS = [WRONG_TYPE, None, 0, -1, float("nan"), 2 ** 64, EMPTY, UNKNOWN_KEY]
+MUTATIONS = [WRONG_TYPE, None, 0, -1, float("nan"), 2 ** 64, 10 ** 400, 5e-324,
+             EMPTY, UNKNOWN_KEY]
 
 
 def value_paths(value, path=()):
@@ -340,15 +355,17 @@ def mutated(config, path, mutation):
 @given(data=st.data())
 def test_one_mutated_field_runs_or_fails_in_one_line(capsys, steps, verb, data):
     """Any one field set to a wrong type, null, 0, a negative value, NaN,
-    2**64 or an empty container, or an unknown key added, gives a parseable
-    result (exit 0) or one error line before any simulated event (exit 1)."""
+    2**64, 10**400 or 5e-324 (a number beyond float range, or one whose
+    reciprocal is) or an empty container, or an unknown key added, gives a
+    parseable result (exit 0) or one error line before any simulated event
+    (exit 1)."""
     valid = VALID_INPUTS[verb]
     mutation = data.draw(st.sampled_from(MUTATIONS), label="mutation")
     paths = [path for path in value_paths(valid)
              if mutation != UNKNOWN_KEY or isinstance(path_value(valid, path), dict)]
     path = data.draw(st.sampled_from(paths), label="path")
     # a longer trace is valid but slow: a length only moves down
-    assume(not (path and path[-1] == "length" and mutation == 2 ** 64))
+    assume(not (path and path[-1] == "length" and mutation in (2 ** 64, 10 ** 400)))
     config = mutated(valid, path, mutation)
     capsys.readouterr()
     steps[0] = 0
@@ -644,6 +661,27 @@ class TestOverheadVerb:
         assert run_cli("overhead", "--components", "2") == 0
         report = json.loads(capsys.readouterr().out)
         assert abs(report["framework_total_kb"] - 6.0) < 0.1
+
+    @pytest.mark.parametrize("flags,message", [
+        (("--capacity", str(10 ** 400)), "sizes a bit table beyond float range"),
+        (("--test-case", "tc2", "--capacity", str(10 ** 400)),
+         "sizes a bit table beyond float range"),
+        (("--fpp", "5e-324"), "sizes a bit table beyond float range"),
+        (("--test-case", "tc1", "--fpp", "5e-324"),
+         "sizes a bit table beyond float range"),
+        (("--components", str(10 ** 400)),
+         f"overhead field n_components must be <= {2 ** 64}, got 1000"),
+        (("--components", "0"), "n_components must be >= 1"),
+    ])
+    def test_beyond_float_range_is_one_error_line(self, tmp_path, capsys, flags,
+                                                  message):
+        out = tmp_path / "ovh.json"
+        assert run_cli("overhead", *flags, "--out", str(out)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("arsenal-sim: error:")
+        assert message in err[0]
+        assert not out.exists()
 
 
 class TestPatternArg:

@@ -119,7 +119,7 @@ class TestEngines:
         sim = Simulation(cfg.cache, engine)
         sim.run(cfg.events())
         ever_selected = {d["chosen"] for d in engine.selection_timeline}
-        assert set(sim.cache.issued_by_source) <= ever_selected - {None}
+        assert set(sim.cache.by_source) <= ever_selected - {None}
 
     def test_arsenal_seed_defaults_to_experiment_seed(self):
         cfg = ExperimentConfig(engine="arsenal-tc2",

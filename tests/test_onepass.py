@@ -5,14 +5,16 @@ engines of a trace, over a single ``ExperimentConfig.events()`` pass, a
 slice of events at a time. The references here run every simulation
 separately, each over its own ``Simulation.run(cfg.events())``. Over the
 same random configs, a run report's per-component counts add up to its
-prefetch and demand totals, and every engine of a pass counts each demand
-access once.
+prefetch and demand totals, those totals balance against the lines the
+engine returned, and every engine of a pass counts each demand access once.
 """
+
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arsenal_sim.cache import amat
+from arsenal_sim.cache import SOURCE_FIELDS, amat
 from arsenal_sim.harness import (
     ARSENAL_PREFIX,
     ENGINE_NAMES,
@@ -62,12 +64,10 @@ def test_run_report_matches_separate_runs(engine, pattern, cache, length, arsena
     assert report["experiment"]["engine_detail"] == reference.describe()
     assert report["selection_timeline"] == getattr(reference, "selection_timeline", [])
     rows = report["per_component"]
-    for field, counts in (("issued", sim.cache.issued_by_source),
-                          ("accepted", sim.cache.accepted_by_source),
-                          ("filled", sim.cache.filled_by_source),
-                          ("useful", sim.cache.useful_by_source),
-                          ("shadow_candidates",
-                           getattr(reference, "total_candidates", {}))):
+    counted = {field: {source: row[i] for source, row in sim.cache.by_source.items()}
+               for i, field in enumerate(SOURCE_FIELDS)}
+    counted["shadow_candidates"] = getattr(reference, "total_candidates", {})
+    for field, counts in counted.items():
         assert _nonzero({name: row[field] for name, row in rows.items()}) \
             == _nonzero(counts), field
 
@@ -78,16 +78,40 @@ def test_run_report_matches_separate_runs(engine, pattern, cache, length, arsena
        score_inc=score_steps, score_dec=score_steps)
 def test_per_source_accounting_is_conserved(engine, pattern, cache, length, eval_cnt,
                                             score_inc, score_dec):
-    report = run_experiment(ExperimentConfig(
-        engine=engine, pattern=pattern, length=length, cache=cache,
-        arsenal={"eval_cnt": eval_cnt, "score_inc": score_inc,
-                 "score_dec": score_dec}, seed=7))
+    returned = [0]   # the lines the engine handed to the cache, counted outside it
+
+    def counted_engine(cfg):
+        built = build_engine(cfg)
+        if cfg.engine == engine:
+            inner = built.on_pae
+
+            def on_pae(ctx):
+                source, lines = inner(ctx)
+                returned[0] += len(lines)
+                return source, lines
+            built.on_pae = on_pae
+        return built
+
+    with mock.patch("arsenal_sim.harness.build_engine", counted_engine):
+        report = run_experiment(ExperimentConfig(
+            engine=engine, pattern=pattern, length=length, cache=cache,
+            arsenal={"eval_cnt": eval_cnt, "score_inc": score_inc,
+                     "score_dec": score_dec}, seed=7))
     rows = report["per_component"].values()
     prefetch = report["prefetch"]
     for total, field in (("attempted", "issued"), ("accepted", "accepted"),
                          ("filled", "filled")):
         assert sum(row[field] for row in rows) == prefetch[total], field
     assert sum(row["useful"] for row in rows) == report["demand"]["prefetch_hits"]
+    # the totals against counts made elsewhere: each line returned is one
+    # attempt, accepted or dropped, and each accepted one fills, turns late
+    # or is still in flight
+    assert prefetch["attempted"] == returned[0]
+    assert prefetch["attempted"] == prefetch["accepted"] + sum(
+        prefetch[key] for key in ("dropped_resident", "dropped_in_flight",
+                                  "dropped_queue_full"))
+    assert prefetch["accepted"] == (prefetch["filled"] + prefetch["late_converted"]
+                                    + prefetch["in_flight_at_end"])
     if engine.startswith(ARSENAL_PREFIX):  # only a deployed component issues
         chosen = {decision["chosen"] for decision in report["selection_timeline"]}
         for name, row in report["per_component"].items():
