@@ -41,7 +41,7 @@ class CacheConfig:
     prefetch_fill_delay: int = 40    # ticks from enqueue to resident
     prefetch_queue_capacity: int = 16
 
-    RANGES = {"sets": (1, None), "ways": (1, None), "line_size": (1, None),
+    RANGES = {"sets": (1, None), "ways": (1, None), "line_size": (1, INT_CAP),
               "hit_latency": (0, INT_CAP), "miss_latency": (0, INT_CAP),
               "late_latency": (0, INT_CAP), "prefetch_fill_delay": (0, None),
               "prefetch_queue_capacity": (0, None)}

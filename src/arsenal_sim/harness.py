@@ -178,30 +178,32 @@ def build_engine(cfg: ExperimentConfig):
 
 
 class Simulation:
-    """Stepwise driver so callers can snapshot counters mid-run."""
+    """One cache and one engine. ``run`` drives them over a slice of
+    events; ``step`` runs one event, so callers can snapshot counters
+    mid-run."""
 
     def __init__(self, cache_config: CacheConfig, engine):
         self.cache = SetAssociativeCache(cache_config)
         self.engine = engine
         self._line_shift = cache_config.line_shift
 
-    def step(self, event: AccessEvent):
-        cache = self.cache
-        outcome = cache.access(event)
-        if outcome.is_pae:
-            seq = event.seq
-            ctx = PaeContext(event.pc, event.addr >> self._line_shift, seq)
-            source, lines = self.engine.on_pae(ctx)
-            if lines:
-                enqueue = cache.enqueue_prefetch
-                for line in lines:
-                    enqueue(line, source, seq)
-        return outcome
+    def step(self, event: AccessEvent) -> None:
+        self.run((event,))
 
     def run(self, events: Iterable[AccessEvent]) -> None:
-        step = self.step
+        cache = self.cache
+        access = cache.access
+        on_pae = self.engine.on_pae
+        enqueue = cache.enqueue_prefetch
+        shift = self._line_shift
+        new = tuple.__new__  # skips the NamedTuple's Python-level __new__
         for event in events:
-            step(event)
+            if access(event).is_pae:
+                seq = event.seq
+                source, lines = on_pae(
+                    new(PaeContext, (event.pc, event.addr >> shift, seq)))
+                for line in lines:
+                    enqueue(line, source, seq)
 
 
 def run_engines(cfg: ExperimentConfig, engines: Iterable[str]) -> dict:

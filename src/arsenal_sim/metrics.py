@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 
 from .arsenal import COMPONENTS, ROSTERS
 from .bloom import derive_parameters
@@ -100,6 +101,10 @@ def overhead(n_components: int, bloom_capacity: int = 2000,
 
     framework_kb = n_components * per_component_bytes / KB
     component_total_kb = sum(component_costs_kb.values())
+    grand_total_kb = framework_kb + component_total_kb
+    if not math.isfinite(grand_total_kb):  # JSON has no Infinity
+        raise ValueError(f"overhead of {n_components} components totals beyond "
+                         "float range")
     exact_counter_kb = n_components * counter_bits / 8.0 / KB
     notes = [
         f"exact scoreboard counter storage is {counter_bits} x "
@@ -133,7 +138,7 @@ def overhead(n_components: int, bloom_capacity: int = 2000,
         "framework_total_kb": framework_kb,
         "component_costs_kb": dict(component_costs_kb),
         "component_total_kb": component_total_kb,
-        "grand_total_kb": framework_kb + component_total_kb,
+        "grand_total_kb": grand_total_kb,
         "notes": notes,
     }
 

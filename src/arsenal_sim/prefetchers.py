@@ -22,8 +22,6 @@ DEFAULT_MAX_LINE = (1 << 58) - 1  # 64-bit byte addresses, 64-byte lines
 # levels, spp's slots and GHR), so no value can stall a run or exhaust memory.
 MAX_PER_PAE = 64
 
-_UNSET = object()
-
 
 class PaeContext(NamedTuple):
     pc: int
@@ -119,6 +117,13 @@ def _encode_delta(delta: int) -> int:
     return delta
 
 
+def _rank(slot: list) -> tuple:
+    # an SPP slot's rank: count, then smaller |delta|, then positive; deltas
+    # in an entry are distinct, so ranks never tie
+    delta, count = slot
+    return count, -abs(delta), delta > 0
+
+
 class SppPrefetcher:
     """Signature-path predictor with recursive lookahead.
 
@@ -157,11 +162,9 @@ class SppPrefetcher:
         self.max_line = max_line
         # page -> [signature, last_offset], in touch order
         self.signature_table: dict[int, list] = {}
-        # pt index -> [c_sig, slots]; slot = [delta, c_delta]
+        # pt index -> [c_sig, slots, best]; slot = [delta, c_delta], and
+        # best is the slot of highest _rank
         self.pattern_table: dict[int, list] = {}
-        # pt index -> what _best_slot returns for it; _train drops the entry
-        # it changes
-        self._best: dict[int, tuple | None] = {}
         # ring of [signature, last_offset, delta]
         self.ghr: list[list] = []
         # chain instrumentation, checked by the acceptance suite
@@ -173,44 +176,38 @@ class SppPrefetcher:
 
     def _train(self, sig: int, delta: int) -> None:
         idx = sig % self.pt_entries
-        self._best.pop(idx, None)
         entry = self.pattern_table.get(idx)
         if entry is None:
-            entry = [0, []]
-            self.pattern_table[idx] = entry
-        if entry[0] >= self.counter_max:
+            slot = [delta, 1]
+            self.pattern_table[idx] = [1, [slot], slot]
+            return
+        slots = entry[1]
+        # a halving can reorder slots, and so can replacing the best one
+        rerank = entry[0] >= self.counter_max
+        if rerank:
             # keep ratios meaningful: halve everything before counting on
             entry[0] >>= 1
-            for slot in entry[1]:
+            for slot in slots:
                 slot[1] >>= 1
         entry[0] += 1
-        slots = entry[1]
         for slot in slots:
             if slot[0] == delta:
                 if slot[1] < self.counter_max:
                     slot[1] += 1
-                return
-        if len(slots) < self.pt_slots:
-            slots.append([delta, 1])
+                break
         else:
-            weakest = min(range(len(slots)), key=lambda i: slots[i][1])
-            slots[weakest] = [delta, 1]
-
-    def _best_slot(self, sig: int):
-        idx = sig % self.pt_entries
-        found = self._best.get(idx, _UNSET)
-        if found is not _UNSET:
-            return found
-        entry = self.pattern_table.get(idx)
-        if entry is None or entry[0] == 0 or not entry[1]:
-            found = None
-        else:
-            # deterministic: max confidence, then smallest |delta|, then
-            # positive; deltas in an entry are distinct, so keys never tie
-            best = max(entry[1], key=lambda s: (s[1], -abs(s[0]), s[0] > 0))
-            found = best[0], best[1], entry[0]
-        self._best[idx] = found
-        return found
+            slot = [delta, 1]
+            if len(slots) < self.pt_slots:
+                slots.append(slot)
+            else:
+                counts = [s[1] for s in slots]
+                weakest = counts.index(min(counts))
+                rerank = rerank or slots[weakest] is entry[2]
+                slots[weakest] = slot
+        if rerank:
+            entry[2] = max(slots, key=_rank)
+        elif slot is not entry[2] and _rank(slot) > _rank(entry[2]):
+            entry[2] = slot
 
     def _ghr_bootstrap(self, offset: int) -> int | None:
         page_lines = self.page_lines
@@ -253,19 +250,17 @@ class SppPrefetcher:
         threshold = self.confidence_threshold
         page_lines = self.page_lines
         page_base = page * page_lines
-        best, pt_entries = self._best, self.pt_entries
+        pt, pt_entries = self.pattern_table, self.pt_entries
         shift, mask = self.SIG_SHIFT, self.SIG_MASK
         confidence = 1.0
         out = []
         depth = 0
         while depth < self.lookahead_depth:
-            found = best.get(sig % pt_entries, _UNSET)
-            if found is _UNSET:
-                found = self._best_slot(sig)
-            if found is None:
+            entry = pt.get(sig % pt_entries)
+            if entry is None:
                 break
-            delta, c_delta, c_sig = found
-            step = c_delta / c_sig
+            delta, c_delta = entry[2]
+            step = c_delta / entry[0]
             if step > 1.0:
                 self.confidence_violations += 1
             confidence *= step

@@ -128,7 +128,8 @@ def check_fields(what: str, data, defaults: dict, required=(), ranges=None) -> N
 
 # a long run is legitimate, so a length has no upper bound
 LENGTH_RANGE = {"length": (1, None)}
-# caps a latency or count far above real ones, so each AMAT and overhead stays finite
+# caps a latency, count or line size far above real ones, so each AMAT and
+# overhead stays finite and a line shift fits the 64-bit address space
 INT_CAP = 2 ** 64
 _STREAM_DEFAULTS = {"pc": 0, "start": 0, "delta": 0}
 _SEGMENT_DEFAULTS = {"spec": None, "length": 0}

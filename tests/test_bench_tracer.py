@@ -40,3 +40,6 @@ def test_traced_phased_run_counts_every_layer(tmp_path, monkeypatch):
     # the engine's cache and the no-prefetch baseline's, over one pass
     assert layers["cache.access.calls"] == 2 * LENGTH
     assert layers["arsenal.decisions"] == len(timeline)
+    # every component sees every PAE, and each fills its filter
+    assert layers["prefetchers.spp.on_pae.calls"] == layers["arsenal.on_pae.calls"]
+    assert layers["bloom.insert.calls"] > 0

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from arsenal_sim.cli import main, parse_pattern_arg
-from arsenal_sim.harness import Simulation
+from arsenal_sim.cache import SetAssociativeCache
 from arsenal_sim.traces import stream_trace_file
 
 
@@ -18,15 +18,15 @@ def run_cli(*argv):
 
 @pytest.fixture
 def steps(monkeypatch):
-    """The events simulated so far, counted by Simulation.step calls."""
+    """The events simulated so far, counted by the cache accesses they make."""
     count = [0]
-    step = Simulation.step
+    access = SetAssociativeCache.access
 
     def counted(self, event):
         count[0] += 1
-        return step(self, event)
+        return access(self, event)
 
-    monkeypatch.setattr(Simulation, "step", counted)
+    monkeypatch.setattr(SetAssociativeCache, "access", counted)
     return count
 
 
@@ -256,6 +256,9 @@ MALFORMED = [
      "unknown component_params.next_line fields: ['max_line']"),
     (("compare",), {"component_params": {"spp": {"max_line": 5}}}, {},
      "unknown component_params.spp fields: ['max_line']"),
+    # a power of two, but a line shift beyond the 64-bit address space
+    (BOTH, {"cache": {"line_size": 2 ** 100}}, {},
+     f"cache field line_size must be <= {2 ** 64}, got {2 ** 100}"),
 ]
 
 
@@ -672,6 +675,9 @@ class TestOverheadVerb:
         (("--components", str(10 ** 400)),
          f"overhead field n_components must be <= {2 ** 64}, got 1000"),
         (("--components", "0"), "n_components must be >= 1"),
+        # each flag within its bound, their product beyond float range
+        (("--components", str(2 ** 64), "--capacity", str(10 ** 300)),
+         f"overhead of {2 ** 64} components totals beyond float range"),
     ])
     def test_beyond_float_range_is_one_error_line(self, tmp_path, capsys, flags,
                                                   message):

@@ -2,8 +2,8 @@
 
 Each fast path is checked against a straightforward reference over random
 inputs: the lazy, set-backed Bloom filter against a bytearray bit table, the
-dict-order LRU tables against a list of keys by last touch, SPP's memoised
-best slot against a fresh ``max`` over the pattern-table entry, MLOP's
+dict-order LRU tables against a list of keys by last touch, SPP's kept best
+slot against a fresh ``max`` over the pattern-table entry, MLOP's
 age histogram over sparse zone stamps against a touch bitmap with one
 increment per level, and TSKID's pending table, expired from its own dict
 order, against a FIFO of every prediction.
@@ -209,17 +209,17 @@ def test_prefetcher_tables_keep_touch_order(size, stream):
             assert list(getattr(component, attr)) == ref
 
 
-def fresh_best_slot(spp: SppPrefetcher, sig: int):
-    entry = spp.pattern_table.get(sig % spp.pt_entries)
-    if entry is None or entry[0] == 0 or not entry[1]:
-        return None
-    best = max(entry[1], key=lambda s: (s[1], -abs(s[0]), s[0] > 0))
-    return best[0], best[1], entry[0]
+def fresh_best(entry: list) -> list:
+    return max(entry[1], key=lambda s: (s[1], -abs(s[0]), s[0] > 0))
 
 
-class UnmemoisedSpp(SppPrefetcher):
-    def _best_slot(self, sig: int):
-        return fresh_best_slot(self, sig)
+class RerankingSpp(SppPrefetcher):
+    """SPP that re-ranks an entry's slots from scratch after every train."""
+
+    def _train(self, sig: int, delta: int) -> None:
+        super()._train(sig, delta)
+        entry = self.pattern_table[sig % self.pt_entries]
+        entry[2] = fresh_best(entry)
 
 
 @PROPERTY
@@ -230,13 +230,11 @@ def test_spp_best_slot_memo_matches_fresh_max(pt_entries, pt_slots, counter_max,
     kw = dict(pt_entries=pt_entries, pt_slots=pt_slots, counter_max=counter_max,
               page_lines=32, confidence_threshold=0.1)
     spp = SppPrefetcher(**kw)
-    ref = UnmemoisedSpp(**kw)
+    ref = RerankingSpp(**kw)
     for ctx in contexts(stream):
         assert spp.on_pae(ctx) == ref.on_pae(ctx)
-        for idx, memo in spp._best.items():
-            assert memo == fresh_best_slot(spp, idx)
-        for sig in range(pt_entries):
-            assert spp._best_slot(sig) == fresh_best_slot(spp, sig)
+        for entry in spp.pattern_table.values():
+            assert entry[2] is fresh_best(entry)
     assert spp.pattern_table == ref.pattern_table
     assert spp.max_chain_depth == ref.max_chain_depth
 

@@ -7,10 +7,12 @@ separately, each over its own ``Simulation.run(cfg.events())``. Over the
 same random configs, a run report's per-component counts add up to its
 prefetch and demand totals, those totals balance against the lines the
 engine returned, and every engine of a pass counts each demand access once.
+Stepping a simulation one event at a time gives what ``run`` gives.
 """
 
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,6 +42,25 @@ arsenal_params = st.sampled_from([{}, {"eval_cnt": 32}])
 
 def _nonzero(counts: dict) -> dict:
     return {name: n for name, n in counts.items() if n}
+
+
+@pytest.mark.parametrize("engine", ENGINE_NAMES)
+@settings(max_examples=15, deadline=None)
+@given(pattern=patterns, cache=caches, length=st.sampled_from(LENGTHS),
+       arsenal=arsenal_params)
+def test_stepping_each_event_matches_run(engine, pattern, cache, length, arsenal):
+    cfg = ExperimentConfig(engine=engine, pattern=pattern, length=length,
+                           cache=cache, arsenal=arsenal, seed=7)
+    stepped = Simulation(cache, build_engine(cfg))
+    for event in cfg.events():
+        stepped.step(event)
+    ran = Simulation(cache, build_engine(cfg))
+    ran.run(cfg.events())
+    assert stepped.cache.demand_counts() == ran.cache.demand_counts()
+    assert stepped.cache.prefetch_counts() == ran.cache.prefetch_counts()
+    assert dict(stepped.cache.by_source) == dict(ran.cache.by_source)
+    assert (getattr(stepped.engine, "selection_timeline", None)
+            == getattr(ran.engine, "selection_timeline", None))
 
 
 @settings(max_examples=100, deadline=None)

@@ -188,7 +188,7 @@ class TestSpp:
             line = rng.randrange(0, 64 * 8)
             spp.on_pae(ctx(line, seq))
             if seq % 1000 == 0:
-                for c_sig, slots in spp.pattern_table.values():
+                for c_sig, slots, _ in spp.pattern_table.values():
                     for delta, c_delta in slots:
                         assert c_delta <= c_sig
 
