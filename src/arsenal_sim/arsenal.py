@@ -65,7 +65,7 @@ PREFETCH_COUNTER_MAX = 4095  # 12-bit saturating attempt counter
 
 @dataclass
 class ArsenalConfig:
-    """Sandbox thresholds; defaults follow the published operating point."""
+    """Sandbox thresholds, checked when built; defaults: the published point."""
     score_inc: int = 4
     score_dec: int = 1
     min_score: int = 0
@@ -81,15 +81,14 @@ class ArsenalConfig:
     RANGES = {"score_inc": (0, None), "score_dec": (0, None), "eval_cnt": (1, None),
               "bf_fpp": (0, 1, True), "bf_est_cap": (1, None)}
 
-    def validate(self) -> "ArsenalConfig":
-        check_fields("arsenal", vars(self), vars(ArsenalConfig()), ranges=self.RANGES)
+    def __post_init__(self):
+        check_fields("arsenal", vars(self), ArsenalConfig, ranges=self.RANGES)
         if self.selection_policy not in ROSTERS:
             raise ValueError(f"unknown selection policy: {self.selection_policy!r}")
         if self.filter_kind not in ("bloom", "exact", "paired"):
             raise ValueError(f"unknown filter kind: {self.filter_kind!r}")
         # the overhead report sizes a Bloom filter whatever the filter kind
         derive_parameters(self.bf_est_cap, self.bf_fpp)
-        return self
 
 
 def select_test_case_1(scores: dict, prefetch_counters: dict,
@@ -149,7 +148,7 @@ class Arsenal:
     def __init__(self, config: ArsenalConfig | None = None,
                  component_params: dict | None = None,
                  max_line: int = DEFAULT_MAX_LINE):
-        self.config = (config or ArsenalConfig()).validate()
+        self.config = config or ArsenalConfig()
         self.components = components = build_components(
             self.config.selection_policy, component_params, max_line)
         self.names = list(components.keys())

@@ -31,7 +31,7 @@ class AccessOutcome(NamedTuple):
 
 @dataclass
 class CacheConfig:
-    """Geometry and timing; defaults are a 32 KiB, 8-way, L1-like cache."""
+    """Geometry and timing, checked when built; defaults: 32 KiB, 8-way, L1-like."""
     sets: int = 64
     ways: int = 8
     line_size: int = 64
@@ -46,14 +46,13 @@ class CacheConfig:
               "late_latency": (0, INT_CAP), "prefetch_fill_delay": (0, None),
               "prefetch_queue_capacity": (0, None)}
 
-    def validate(self) -> "CacheConfig":
-        check_fields("cache", vars(self), vars(CacheConfig()), ranges=self.RANGES)
+    def __post_init__(self):
+        check_fields("cache", vars(self), CacheConfig, ranges=self.RANGES)
         for name, value in (("sets", self.sets), ("line_size", self.line_size)):
             if value & (value - 1):  # nonzero unless a power of two, as value >= 1
                 raise ValueError(f"{name} must be a power of two")
         if not (self.hit_latency < self.late_latency <= self.miss_latency):
             raise ValueError("require hit_latency < late_latency <= miss_latency")
-        return self
 
     @property
     def line_shift(self) -> int:
@@ -75,7 +74,7 @@ class SetAssociativeCache:
     """
 
     def __init__(self, config: CacheConfig):
-        self.config = config.validate()
+        self.config = config
         self._shift = config.line_shift
         self._set_mask = config.sets - 1
         self._ways = config.ways
@@ -83,11 +82,10 @@ class SetAssociativeCache:
         self._sets: defaultdict[int, dict[int, list | bool]] = defaultdict(dict)
         self._inflight: dict[int, tuple] = {}   # line -> (fill_seq, source row)
         self._fifo: deque[tuple[int, int]] = deque()  # (line, fill_seq), fill order
-        cfg = self.config
-        self._out_hit = AccessOutcome(HIT, cfg.hit_latency, False)
-        self._out_pf = AccessOutcome(PREFETCH_HIT, cfg.hit_latency, True)
-        self._out_late = AccessOutcome(LATE_PREFETCH_HIT, cfg.late_latency, True)
-        self._out_miss = AccessOutcome(MISS, cfg.miss_latency, True)
+        self._out_hit = AccessOutcome(HIT, config.hit_latency, False)
+        self._out_pf = AccessOutcome(PREFETCH_HIT, config.hit_latency, True)
+        self._out_late = AccessOutcome(LATE_PREFETCH_HIT, config.late_latency, True)
+        self._out_miss = AccessOutcome(MISS, config.miss_latency, True)
         # demand outcome counters; a prefetch hit is its source's useful count
         self.hits = 0
         self.late_prefetch_hits = 0

@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 
 from .harness import (
     ENGINE_NAMES,
@@ -27,11 +26,11 @@ from .traces import (LENGTH_RANGE, PatternSpec, check_address_range, check_field
                      generate, write_trace)
 
 
-def parse_pattern_arg(text: str) -> PatternSpec:
-    """Parse --pattern: inline JSON, or 'kind[:key=value,...]' shorthand."""
+def _pattern_fields(text: str) -> dict:
+    """--pattern's fields: inline JSON, or 'kind[:key=value,...]' shorthand."""
     text = text.strip()
     if text.startswith("{"):
-        return PatternSpec.from_dict(json.loads(text))
+        return json.loads(text)
     kind, _, rest = text.partition(":")
     params: dict = {"kind": kind}
     if rest:
@@ -46,7 +45,12 @@ def parse_pattern_arg(text: str) -> PatternSpec:
                     params[key] = float(value)
                 except ValueError:
                     params[key] = value
-    return PatternSpec.from_dict(params)
+    return params
+
+
+def parse_pattern_arg(text: str) -> PatternSpec:
+    """--pattern as a checked PatternSpec."""
+    return PatternSpec.from_dict(_pattern_fields(text))
 
 
 def _load_config(args, flags: tuple) -> dict:
@@ -86,11 +90,13 @@ def _emit(report: dict, fmt: str, out_path) -> None:
 
 def cmd_run(args) -> int:
     data = _load_config(args, ("engine", "length", "seed", "out", "format"))
+    if args.trace and args.pattern:
+        raise ValueError("--trace and --pattern are two trace sources; give one")
     if args.trace:
         data["trace_file"] = args.trace
         data.pop("pattern", None)
     if args.pattern:
-        data["pattern"] = parse_pattern_arg(args.pattern).to_dict()
+        data["pattern"] = _pattern_fields(args.pattern)
         data.pop("trace_file", None)
     cfg = experiment_from_dict(data)
     out, fmt = _checked_sink(data)
@@ -131,12 +137,10 @@ def cmd_overhead(args) -> int:
 
 def cmd_gen(args) -> int:
     spec = parse_pattern_arg(args.pattern)
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
     check_fields("gen", {"length": args.length}, {"length": 1}, ranges=LENGTH_RANGE)
     check_address_range(spec, args.length)
     with _open_sink(args.out) as sink:
-        write_trace(generate(spec, args.length), sink)
+        write_trace(generate(spec, args.length, args.seed), sink)
     return 0
 
 

@@ -18,7 +18,7 @@ asks it for one engine and ``compare`` (``compare_engines``) for a roster.
 """
 
 import inspect
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from itertools import islice
 from typing import Iterable, Optional
 
@@ -94,7 +94,8 @@ def _check_component_params(params) -> None:
 
 @dataclass
 class ExperimentConfig:
-    """One experiment: a trace source, a cache, and exactly one engine."""
+    """One experiment: a trace source, a cache, and exactly one engine. Each
+    part is checked once, when built: the cache and pattern before this."""
     engine: str = ENGINE_NONE
     trace_file: Optional[str] = None
     pattern: Optional[PatternSpec] = None
@@ -105,29 +106,23 @@ class ExperimentConfig:
     seed: int = 0
     label: str = ""
 
-    def validate(self) -> "ExperimentConfig":
+    def __post_init__(self):
         if (self.trace_file is None) == (self.pattern is None):
             raise ValueError("exactly one of trace_file or pattern is required")
         if self.engine not in ENGINE_NAMES:
             raise ValueError(f"unknown engine: {self.engine!r} "
                              f"(expected one of {', '.join(ENGINE_NAMES)})")
-        self.cache.validate()
         if self.pattern is not None:
-            self.pattern.validate()
             check_address_range(self.pattern, self.length)
         reject_unknown("arsenal", self.arsenal, _ARSENAL_FIELDS)
-        ArsenalConfig(**self.arsenal).validate()
+        ArsenalConfig(**self.arsenal)  # built to be checked; engines build their own
         _check_component_params(self.component_params)
-        return self
 
     def events(self) -> Iterable[AccessEvent]:
         """One pass over the trace; a trace file is read as it is consumed."""
         if self.trace_file is not None:
             return stream_trace_file(self.trace_file)
-        spec = self.pattern
-        if spec.seed == 0 and self.seed:
-            spec = replace(spec, seed=self.seed)
-        return generate(spec, self.length)
+        return generate(self.pattern, self.length, self.pattern.seed or self.seed)
 
     def trace_summary(self) -> dict:
         if self.trace_file is not None:
@@ -137,7 +132,7 @@ class ExperimentConfig:
 
 def cache_config_from_dict(data) -> CacheConfig:
     reject_unknown("cache", data, CacheConfig.__dataclass_fields__)
-    return CacheConfig(**data).validate()
+    return CacheConfig(**data)
 
 
 # A config object's fields, each typed by its default; None marks a value
@@ -160,19 +155,19 @@ def experiment_from_dict(data) -> ExperimentConfig:
     if fields.get("pattern") is not None:
         fields["pattern"] = PatternSpec.from_dict(fields["pattern"])
     fields["cache"] = cache_config_from_dict(fields.get("cache", {}))
-    return ExperimentConfig(**fields).validate()
+    return ExperimentConfig(**fields)
 
 
-def build_engine(cfg: ExperimentConfig):
-    """The engine ``cfg.engine`` names: none, arsenal-<policy> or a component."""
-    if cfg.engine == ENGINE_NONE:
+def build_engine(cfg: ExperimentConfig, engine: str):
+    """``engine`` (none, arsenal-<policy> or a component) as ``cfg`` sets it."""
+    if engine == ENGINE_NONE:
         return NoPrefetchEngine()
     max_line = cfg.cache.max_line
-    if cfg.engine.startswith(ARSENAL_PREFIX):
-        kw = dict(cfg.arsenal, selection_policy=cfg.engine[len(ARSENAL_PREFIX):])
+    if engine.startswith(ARSENAL_PREFIX):
+        kw = dict(cfg.arsenal, selection_policy=engine[len(ARSENAL_PREFIX):])
         kw.setdefault("master_seed", cfg.seed or ArsenalConfig.master_seed)
         return Arsenal(ArsenalConfig(**kw), cfg.component_params, max_line)
-    name = cfg.engine.replace("-", "_")
+    name = engine.replace("-", "_")
     return StandaloneEngine(name, build_component(
         name, cfg.component_params, max_line, standalone=True))
 
@@ -214,8 +209,7 @@ def run_engines(cfg: ExperimentConfig, engines: Iterable[str]) -> dict:
     Returns engine name -> (simulation, metrics), ``none`` first.
     """
     names = list(dict.fromkeys([ENGINE_NONE, *engines]))
-    sims = [Simulation(cfg.cache, build_engine(replace(cfg, engine=name)))
-            for name in names]
+    sims = [Simulation(cfg.cache, build_engine(cfg, name)) for name in names]
     it = iter(cfg.events())
     chunk = list(islice(it, SLICE_EVENTS))
     if not chunk:
@@ -234,7 +228,7 @@ def run_engines(cfg: ExperimentConfig, engines: Iterable[str]) -> dict:
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run one experiment and assemble its report; the speedup proxy's
     baseline is a no-prefetch simulation in the same pass."""
-    sim, metrics = run_engines(cfg.validate(), [cfg.engine])[cfg.engine]
+    sim, metrics = run_engines(cfg, [cfg.engine])[cfg.engine]
     engine = sim.engine
     cache = sim.cache
 
@@ -298,7 +292,10 @@ def compare_engines(traces: list[dict], policy: str = TEST_CASE_2,
             seed=seed,
             label=trace.get("label", f"trace-{index}"),
             **shared,
-        ).validate())
+        ))
+    for cfg in configs:  # so a missing file stops compare before any simulation
+        if cfg.trace_file is not None:
+            open(cfg.trace_file, encoding="utf-8").close()
 
     per_trace = []
     for cfg in configs:

@@ -10,7 +10,7 @@ deterministic given the pattern spec and its seed.
 
 import math
 import random
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Iterable, Iterator, NamedTuple
 
 SEQUENTIAL = "sequential"
@@ -101,12 +101,17 @@ def _breach(value, fraction: bool, low=None, high=None, strict=False):
     return end
 
 
-def check_fields(what: str, data, defaults: dict, required=(), ranges=None) -> None:
+def check_fields(what: str, data, defaults, required=(), ranges=None) -> None:
     """Reject a non-object, unknown or missing keys, and a value not of its
     default's type (an int passes for a float; a bool never passes for an
     int), a NaN or infinite float, or one outside its range in ``ranges``,
-    key -> (low, high[, strict]) as ``_breach`` takes them. A None default
-    leaves the value to its own parser."""
+    key -> (low, high[, strict]) as ``_breach`` takes them. ``defaults`` may
+    be a dataclass, whose fields give them (a required one its type's zero
+    value). A None default leaves the value to its own parser."""
+    if isinstance(defaults, type):
+        defaults = {f.name: f.default if f.default is not MISSING
+                    else f.type() if f.default_factory is MISSING
+                    else f.default_factory() for f in fields(defaults)}
     reject_unknown(what, data, defaults)
     missing = [key for key in required if key not in data]
     if missing:
@@ -144,7 +149,8 @@ class PatternSpec:
       stride: start, stride (bytes, nonzero), pc (fixed)
       random_working_set: start, working_set_lines, pc_pool, write_fraction
       pc_delta: streams = [{pc, start, delta}, ...], visited round-robin
-      phased: segments = [{"spec": {...}, "length": n}, ...], each spec flat
+      phased: segments = [{"spec": {...}, "length": n}, ...], each spec flat,
+        built once into flat_segments = [(spec, length), ...]
     """
     kind: str
     start: int = 0
@@ -160,8 +166,8 @@ class PatternSpec:
 
     RANGES = {"write_fraction": (0, 1), "line_size": (1, None)}
 
-    def validate(self) -> "PatternSpec":
-        check_fields("pattern", vars(self), vars(PatternSpec("")), ranges=self.RANGES)
+    def __post_init__(self):
+        check_fields("pattern", vars(self), PatternSpec, ranges=self.RANGES)
         if self.kind not in PATTERN_KINDS:
             raise ValueError(f"unknown pattern kind: {self.kind!r}")
         if self.kind == STRIDE and self.stride == 0:
@@ -173,32 +179,26 @@ class PatternSpec:
                          required=_STREAM_DEFAULTS)
         if self.kind == RANDOM_WORKING_SET and self.working_set_lines < 1:
             raise ValueError("working_set_lines must be >= 1")
-        if self.kind == PHASED:
-            self._flat_segments()
-        return self
-
-    def _flat_segments(self) -> list[tuple["PatternSpec", int]]:
-        """Check a phased pattern's segments; each one's spec and length.
-        The segments themselves stay the raw dicts they were given as."""
+        self.flat_segments = []
+        if self.kind != PHASED:
+            return
         if not self.segments:
             raise ValueError("phased requires at least one segment")
-        out = []
         for seg in self.segments:
             check_fields("pattern segment", seg, _SEGMENT_DEFAULTS,
                          required=_SEGMENT_DEFAULTS, ranges=LENGTH_RANGE)
             spec = PatternSpec.from_dict(seg["spec"])
             if spec.kind == PHASED:
                 raise ValueError("phased segments must be flat patterns")
-            out.append((spec, seg["length"]))
-        return out
+            self.flat_segments.append((spec, seg["length"]))
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data) -> "PatternSpec":
-        check_fields("pattern", data, vars(cls("")), required=("kind",))
-        return cls(**data).validate()
+        check_fields("pattern", data, cls, required=("kind",))
+        return cls(**data)
 
 
 def _generate_flat(spec: PatternSpec, length: int, seq_base: int,
@@ -247,7 +247,7 @@ def _generate_flat(spec: PatternSpec, length: int, seq_base: int,
             while p >= n_pcs:
                 p = getrandbits(pc_bits)
             yield new(AccessEvent, (pc + 8 * p, (base_line + r) * lsz, is_write, seq))
-    else:  # PC_DELTA: validate leaves no other kind here
+    else:  # PC_DELTA: a built spec has no other kind here
         cursors = [[s["pc"], s["start"], s["delta"]] for s in spec.streams]
         n = len(cursors)
         for i, seq in enumerate(seqs):
@@ -256,18 +256,18 @@ def _generate_flat(spec: PatternSpec, length: int, seq_base: int,
             cur[1] += cur[2]
 
 
-def _phases(spec: PatternSpec, length: int):
+def _phases(spec: PatternSpec, length: int, seed: int = 0):
     """Yield (flat spec, rng seed, first seq, event count) for each phase of
-    ``length`` events: a phased pattern cycles through its segments."""
+    ``length`` events from ``seed``: a phased pattern cycles its segments."""
     if spec.kind != PHASED:
-        yield spec.validate(), spec.seed, 0, length
+        yield spec, seed, 0, length
         return
-    segments = spec._flat_segments()
+    segments = spec.flat_segments
     seq = index = 0
     while seq < length:
         flat, seg_len = segments[index % len(segments)]
         seg_len = min(seg_len, length - seq)
-        yield flat, (spec.seed << 16) ^ index, seq, seg_len
+        yield flat, (seed << 16) ^ index, seq, seg_len
         seq += seg_len
         index += 1
 
@@ -307,10 +307,13 @@ def check_address_range(spec: PatternSpec, length: int) -> None:
                                      f"{value:#x}, outside [0, 2**64)")
 
 
-def generate(spec: PatternSpec, length: int) -> Iterator[AccessEvent]:
-    """Deterministically generate ``length`` events for a pattern spec."""
-    for flat, seed, seq, seg_len in _phases(spec, length):
-        yield from _generate_flat(flat, seg_len, seq, random.Random(seed))
+def generate(spec: PatternSpec, length: int,
+             seed: int | None = None) -> Iterator[AccessEvent]:
+    """Deterministically generate ``length`` events for a pattern spec, from
+    ``seed`` where one is given, else from the spec's own."""
+    seed = spec.seed if seed is None else seed
+    for flat, rng_seed, seq, seg_len in _phases(spec, length, seed):
+        yield from _generate_flat(flat, seg_len, seq, random.Random(rng_seed))
 
 
 def phase_boundaries(spec: PatternSpec, length: int) -> list[dict]:

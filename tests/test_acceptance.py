@@ -360,7 +360,7 @@ def test_criterion_10_component_sanity():
     cfg = ExperimentConfig(engine="next-line",
                            pattern=PatternSpec(kind="sequential", seed=41),
                            length=1_000_000, cache=sanity_cache)
-    sim = Simulation(cfg.cache, build_engine(cfg))
+    sim = Simulation(cfg.cache, build_engine(cfg, cfg.engine))
     events = cfg.events()
     for _ in range(1000):
         sim.step(next(events))
@@ -384,7 +384,7 @@ def test_criterion_10_component_sanity():
     # spp chain instrumentation over mixed shadow traffic
     spp_cfg = ExperimentConfig(engine="spp", pattern=PHASED_SPEC,
                                length=200_000, cache=sanity_cache)
-    spp_engine = build_engine(spp_cfg)
+    spp_engine = build_engine(spp_cfg, spp_cfg.engine)
     Simulation(spp_cfg.cache, spp_engine).run(spp_cfg.events())
     spp = spp_engine.component
     assert spp.max_chain_depth <= 8

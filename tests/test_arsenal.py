@@ -337,7 +337,7 @@ class TestConfigAndRosters:
     ])
     def test_config_validation(self, kw):
         with pytest.raises(ValueError):
-            ArsenalConfig(**kw).validate()
+            ArsenalConfig(**kw)
 
     def test_default_thresholds(self):
         cfg = ArsenalConfig()

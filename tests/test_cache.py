@@ -317,11 +317,11 @@ class TestConfigValidation:
     ])
     def test_rejects_bad_geometry(self, field, value):
         with pytest.raises(ValueError):
-            CacheConfig(**{field: value}).validate()
+            CacheConfig(**{field: value})
 
     def test_rejects_bad_latency_order(self):
         with pytest.raises(ValueError):
-            CacheConfig(hit_latency=10, late_latency=5).validate()
+            CacheConfig(hit_latency=10, late_latency=5)
 
     def test_max_line_for_default_line_size(self):
         assert CacheConfig().max_line == (1 << 58) - 1

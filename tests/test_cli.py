@@ -1,12 +1,15 @@
+import collections
 import copy
 import json
 import pathlib
+import sys
 import tempfile
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from arsenal_sim import harness
 from arsenal_sim.cli import main, parse_pattern_arg
 from arsenal_sim.cache import SetAssociativeCache
 from arsenal_sim.traces import stream_trace_file
@@ -582,6 +585,29 @@ class TestRun:
     def test_no_trace_source_fails_nonzero(self):
         assert run_cli("run", "--engine", "none") == 1
 
+    def test_trace_and_pattern_flags_are_one_error_line(self, tmp_path, capsys,
+                                                        steps):
+        trace = tmp_path / "t.trace"
+        run_cli("gen", "--pattern", "stride", "--length", "100", "--out", str(trace))
+        out = tmp_path / "report.json"
+        assert run_cli("run", "--trace", str(trace), "--pattern", "stride",
+                       "--length", "100", "--out", str(out)) == 1
+        failed_before_running(capsys, steps, out, "--trace and --pattern")
+
+    def test_flag_replaces_the_other_source_of_the_config(self, tmp_path):
+        trace = tmp_path / "t.trace"
+        run_cli("gen", "--pattern", "stride", "--length", "100", "--out", str(trace))
+        config = tmp_path / "config.json"
+        out = tmp_path / "report.json"
+        for source, flags, total in (
+                ({"pattern": SEQ, "length": 50}, ["--trace", str(trace)], 100),
+                ({"trace_file": str(trace)}, ["--pattern", "stride", "--length", "50"],
+                 50)):
+            config.write_text(json.dumps(source))
+            assert run_cli("run", "--config", str(config), *flags,
+                           "--out", str(out)) == 0
+            assert json.loads(out.read_text())["demand"]["total"] == total
+
 
 class TestCompare:
     @pytest.fixture
@@ -619,6 +645,66 @@ class TestCompare:
 
     def test_compare_missing_config_fails(self):
         assert run_cli("compare", "--config", "/no/such/cmp.json") == 1
+
+    def test_every_trace_file_is_opened_before_any_simulation(self, tmp_path, capsys,
+                                                              monkeypatch):
+        trace = tmp_path / "t.trace"
+        run_cli("gen", "--pattern", "stride", "--length", "300", "--out", str(trace))
+        missing = tmp_path / "missing.trace"
+        calls = []
+        run_engines = harness.run_engines
+        monkeypatch.setattr(harness, "run_engines",
+                            lambda *a: calls.append(a) or run_engines(*a))
+        code, out = run_config(tmp_path, "compare", {"policy": "tc1", "traces": [
+            {"label": "there", "file": str(trace)},
+            {"label": "missing", "file": str(missing)}]})
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"arsenal-sim: error: [Errno 2] No such file or directory: "
+                       f"{str(missing)!r}"]
+        assert calls == []
+        assert not out.exists()
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """check_fields calls so far, counted by the object each one checks."""
+    counts = collections.Counter()
+    modules = [m for name, m in sys.modules.items() if name.startswith("arsenal_sim")]
+    check_fields = sys.modules["arsenal_sim.traces"].check_fields
+
+    def counted(what, *args, **kwargs):
+        counts[what] += 1
+        return check_fields(what, *args, **kwargs)
+
+    for module in modules:
+        if getattr(module, "check_fields", None) is check_fields:
+            monkeypatch.setattr(module, "check_fields", counted)
+    return counts
+
+
+class TestChecksRunOnce:
+    """Each config object is checked once, when it is built."""
+
+    def test_phased_run(self, tmp_path, checks):
+        pattern = {"kind": "phased", "segments": [
+            {"spec": {"kind": "stride", "stride": 128}, "length": 300},
+            {"spec": SEQ, "length": 300}]}
+        out = tmp_path / "report.json"
+        assert run_cli("run", "--pattern", json.dumps(pattern), "--engine",
+                       "arsenal-tc2", "--length", "1200", "--seed", "3",
+                       "--out", str(out)) == 0
+        # the pattern: once as its dict, once built, and so for each segment's
+        assert (checks["cache"], checks["experiment"]) == (1, 1)
+        assert (checks["pattern"], checks["pattern segment"]) == (6, 2)
+
+    def test_compare_of_two_pattern_traces(self, tmp_path, checks):
+        code, _ = run_config(tmp_path, "compare", {"policy": "tc1", "seed": 2, "traces": [
+            {"label": "seq", "pattern": SEQ, "length": 300},
+            {"label": "hot", "pattern": {"kind": "random_working_set",
+                                         "working_set_lines": 64}, "length": 300}]})
+        assert code == 0
+        assert (checks["cache"], checks["compare trace"], checks["pattern"]) == (1, 2, 4)
 
 
 class TestStreamedTraceError:

@@ -88,24 +88,24 @@ class TestDeterminism:
 class TestEngines:
     def test_engine_name_validation(self):
         with pytest.raises(ValueError, match="unknown engine"):
-            seq_cfg("turbo").validate()
+            seq_cfg("turbo")
 
     def test_exactly_one_trace_source(self):
         with pytest.raises(ValueError):
-            ExperimentConfig(engine="none").validate()
+            ExperimentConfig(engine="none")
         with pytest.raises(ValueError):
             ExperimentConfig(engine="none", trace_file="x.trace",
-                             pattern=PatternSpec(kind="sequential")).validate()
+                             pattern=PatternSpec(kind="sequential"))
 
     def test_standalone_aggressiveness_defaults(self):
-        nl = build_engine(seq_cfg("next-line"))
+        nl = build_engine(seq_cfg("next-line"), "next-line")
         assert nl.component.degree == 5
-        ip = build_engine(seq_cfg("ip-stride"))
+        ip = build_engine(seq_cfg("ip-stride"), "ip-stride")
         assert ip.component.degree == 8
 
     def test_all_engine_names_buildable(self):
         for name in ENGINE_NAMES:
-            engine = build_engine(seq_cfg(name))
+            engine = build_engine(seq_cfg(name), name)
             assert engine.describe()
 
     def test_shadow_isolation(self):
@@ -115,7 +115,7 @@ class TestEngines:
             pattern=PatternSpec(kind="sequential", seed=4),
             length=10_000,
         )
-        engine = build_engine(cfg)
+        engine = build_engine(cfg, cfg.engine)
         sim = Simulation(cfg.cache, engine)
         sim.run(cfg.events())
         ever_selected = {d["chosen"] for d in engine.selection_timeline}
@@ -125,14 +125,14 @@ class TestEngines:
         cfg = ExperimentConfig(engine="arsenal-tc2",
                                pattern=PatternSpec(kind="sequential"),
                                length=10, seed=99)
-        engine = build_engine(cfg)
+        engine = build_engine(cfg, cfg.engine)
         assert engine.config.master_seed == 99
 
 
 class TestSimulationStepping:
     def test_mid_run_snapshots(self):
         cfg = seq_cfg("next-line", prefetch_fill_delay=0)
-        sim = Simulation(cfg.cache, build_engine(cfg))
+        sim = Simulation(cfg.cache, build_engine(cfg, cfg.engine))
         events = list(cfg.events())
         for ev in events[:1000]:
             sim.step(ev)

@@ -51,10 +51,10 @@ def _nonzero(counts: dict) -> dict:
 def test_stepping_each_event_matches_run(engine, pattern, cache, length, arsenal):
     cfg = ExperimentConfig(engine=engine, pattern=pattern, length=length,
                            cache=cache, arsenal=arsenal, seed=7)
-    stepped = Simulation(cache, build_engine(cfg))
+    stepped = Simulation(cache, build_engine(cfg, cfg.engine))
     for event in cfg.events():
         stepped.step(event)
-    ran = Simulation(cache, build_engine(cfg))
+    ran = Simulation(cache, build_engine(cfg, cfg.engine))
     ran.run(cfg.events())
     assert stepped.cache.demand_counts() == ran.cache.demand_counts()
     assert stepped.cache.prefetch_counts() == ran.cache.prefetch_counts()
@@ -71,7 +71,7 @@ def test_run_report_matches_separate_runs(engine, pattern, cache, length, arsena
                            cache=cache, arsenal=arsenal, seed=7)
     report = run_experiment(cfg)
 
-    reference = build_engine(cfg)
+    reference = build_engine(cfg, cfg.engine)
     sim = Simulation(cache, reference)
     sim.run(cfg.events())
     base = Simulation(cache, NoPrefetchEngine())
@@ -101,9 +101,9 @@ def test_per_source_accounting_is_conserved(engine, pattern, cache, length, eval
                                             score_inc, score_dec):
     returned = [0]   # the lines the engine handed to the cache, counted outside it
 
-    def counted_engine(cfg):
-        built = build_engine(cfg)
-        if cfg.engine == engine:
+    def counted_engine(cfg, name):
+        built = build_engine(cfg, name)
+        if name == engine:
             inner = built.on_pae
 
             def on_pae(ctx):
@@ -171,7 +171,7 @@ def test_compare_matches_separate_runs(tmp_path_factory, policy, pattern, cache,
     for engine in report["engines"]:  # none first: its own AMAT is the baseline
         cfg = ExperimentConfig(engine=engine, trace_file=str(path), cache=cache,
                                arsenal=arsenal, seed=7)
-        sim = Simulation(cache, build_engine(cfg))
+        sim = Simulation(cache, build_engine(cfg, cfg.engine))
         sim.run(cfg.events())
         if engine == "none":
             baseline = amat(sim.cache.demand_counts(), cache)

@@ -174,20 +174,20 @@ class TestGenerate:
 class TestValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            PatternSpec(kind="zigzag").validate()
+            PatternSpec(kind="zigzag")
 
     def test_zero_stride(self):
         with pytest.raises(ValueError):
-            PatternSpec(kind="stride", stride=0).validate()
+            PatternSpec(kind="stride", stride=0)
 
     def test_pc_delta_requires_streams(self):
         with pytest.raises(ValueError):
-            PatternSpec(kind="pc_delta").validate()
+            PatternSpec(kind="pc_delta")
 
     def test_phased_requires_positive_lengths(self):
         with pytest.raises(ValueError):
             PatternSpec(kind="phased", segments=[
-                {"spec": {"kind": "sequential"}, "length": 0}]).validate()
+                {"spec": {"kind": "sequential"}, "length": 0}])
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError):
