@@ -13,7 +13,6 @@ says why: ``PYTHONPATH=src python tests/test_golden.py``.
 
 import json
 import pathlib
-import sys
 
 import pytest
 
@@ -74,4 +73,3 @@ if __name__ == "__main__":
     for golden in sorted(GOLDENS):
         print(write_report(DATA, golden))
         (DATA / f"{golden}.config").unlink()
-    sys.exit(0)
