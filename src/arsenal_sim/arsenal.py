@@ -14,7 +14,7 @@ state (filters, counters, scores) resets; the selection persists after.
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .bloom import component_seed, derive_parameters, make_filter
+from .bloom import FILTER_KINDS, component_seed, derive_parameters, make_filter
 from .prefetchers import (
     DEFAULT_MAX_LINE,
     IpStridePrefetcher,
@@ -75,7 +75,9 @@ class ArsenalConfig:
     bf_fpp: float = 0.01
     bf_est_cap: int = 2000
     selection_policy: str = TEST_CASE_2
-    filter_kind: str = "bloom"   # bloom | exact | paired
+    # one of bloom.FILTER_KINDS; every Bloom filter counts its false-positive
+    # probes, and paired is bloom's alias, kept for acceptance criterion 5
+    filter_kind: str = "bloom"
     master_seed: int = 0xA5EE
 
     RANGES = {"score_inc": (0, None), "score_dec": (0, None), "eval_cnt": (1, None),
@@ -85,7 +87,7 @@ class ArsenalConfig:
         check_fields("arsenal", vars(self), ArsenalConfig, ranges=self.RANGES)
         if self.selection_policy not in ROSTERS:
             raise ValueError(f"unknown selection policy: {self.selection_policy!r}")
-        if self.filter_kind not in ("bloom", "exact", "paired"):
+        if self.filter_kind not in FILTER_KINDS:
             raise ValueError(f"unknown filter kind: {self.filter_kind!r}")
         # the overhead report sizes a Bloom filter whatever the filter kind
         derive_parameters(self.bf_est_cap, self.bf_fpp)

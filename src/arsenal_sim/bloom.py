@@ -3,8 +3,9 @@
 Each component prefetcher owns one filter; candidate line addresses go in,
 demanded line addresses are queried against it. Sizing follows the standard
 optimal formulas from a projected capacity and a target false-positive
-probability. An exact-set variant, and a paired one that counts the Bloom
-filter's false-positive probes, cross-check scoring against ground truth.
+probability. Every Bloom filter counts its false-positive probes, and an
+exact-set variant gives ground truth. Filter kind "paired" is an alias of
+"bloom", kept for acceptance criterion 5 and the configs that name it.
 
 The Bloom filter gives the answers of an m-bit table under Kirsch and
 Mitzenmacher's double hashing ("Less Hashing, Same Performance: Building a
@@ -87,6 +88,8 @@ class BloomFilter:
       a non-member needs the bit table, or when ``bits`` is read. The
       table is held as the set of its set-bit positions, so such a query
       is a superset test.
+    - ``false_positive_probes`` counts True answers for non-members, which
+      only the bit table gives; ``clear`` keeps the count.
     - Each element's k positions are memoised as a tuple. ``clear`` keeps
       the memo as the previous generation, and a memo miss takes the
       tuple from there before it hashes, so the shadow streams' sliding
@@ -94,8 +97,9 @@ class BloomFilter:
       the distinct elements of two selection phases.
     """
 
-    __slots__ = ("params", "inserted_count", "_m", "_k", "_seed_a", "_seed_b",
-                 "_set_bits", "members", "_queued", "_positions", "_previous")
+    __slots__ = ("params", "inserted_count", "false_positive_probes", "_m", "_k",
+                 "_seed_a", "_seed_b", "_set_bits", "members", "_queued",
+                 "_positions", "_previous")
 
     def __init__(self, capacity: int = 2000, fpp: float = 0.01, seed: int = 0):
         self.params = params = BloomParams.create(capacity, fpp, seed)
@@ -107,6 +111,7 @@ class BloomFilter:
         self.members: set[int] = set()
         self._queued: list[int] = []
         self.inserted_count = 0
+        self.false_positive_probes = 0
         self._positions: dict[int, tuple[int, ...]] = {}
         self._previous: dict[int, tuple[int, ...]] = {}
 
@@ -167,12 +172,15 @@ class BloomFilter:
             return False
         if self._queued:
             self._set_queued()
-        return self._set_bits.issuperset(
+        answer = self._set_bits.issuperset(
             self._positions.get(element) or self._recall(element))
+        self.false_positive_probes += answer
+        return answer
 
     def clear(self) -> None:
-        """Reset to the freshly-constructed state (same params and seed);
-        this phase's memo becomes the previous one."""
+        """Reset to the freshly-constructed state (same params and seed)
+        but for ``false_positive_probes``; this phase's memo becomes the
+        previous one."""
         self._set_bits.clear()
         self.members.clear()
         self._queued.clear()
@@ -199,28 +207,11 @@ class ExactFilter:
         self.members.clear()
 
 
-class PairedFilter(BloomFilter):
-    """Bloom filter that counts its false-positive probes: True answers for
-    elements outside its member set. Queries return the bloom answer (so
-    behaviour matches a bloom-only run bit for bit), and the probe count is
-    what bounds any score inflation.
-    """
-
-    false_positive_probes = 0
-
-    def query(self, element: int) -> bool:
-        answer = super().query(element)
-        if answer and element not in self.members:
-            self.false_positive_probes += 1
-        return answer
+FILTER_KINDS = ("bloom", "exact", "paired")
 
 
 def make_filter(kind: str, capacity: int, fpp: float, seed: int):
-    """Build a shadow filter: 'bloom', 'exact', or 'paired'."""
-    if kind == "bloom":
-        return BloomFilter(capacity, fpp, seed)
-    if kind == "exact":
-        return ExactFilter()
-    if kind == "paired":
-        return PairedFilter(capacity, fpp, seed)
-    raise ValueError(f"unknown filter kind: {kind!r}")
+    """Build a shadow filter of one of FILTER_KINDS ('paired' is a Bloom one)."""
+    if kind not in FILTER_KINDS:
+        raise ValueError(f"unknown filter kind: {kind!r}")
+    return ExactFilter() if kind == "exact" else BloomFilter(capacity, fpp, seed)

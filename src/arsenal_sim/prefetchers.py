@@ -378,7 +378,8 @@ class TskidPrefetcher:
     (minus a fixed lead) after their trigger.
     """
 
-    RANGES = {"table_size": (1, None)}
+    RANGES = {"table_size": (1, None), "lead": (0, None),
+              "verification_expiry": (0, None)}
 
     def __init__(self, table_size: int = 64, lead: int = 4,
                  verification_expiry: int = 1024,

@@ -197,7 +197,10 @@ class PatternSpec:
 
     @classmethod
     def from_dict(cls, data) -> "PatternSpec":
-        check_fields("pattern", data, cls, required=("kind",))
+        # what only the dict form can get wrong; __post_init__ checks the rest
+        reject_unknown("pattern", data, cls.__dataclass_fields__)
+        if "kind" not in data:
+            raise ValueError("missing pattern fields: ['kind']")
         return cls(**data)
 
 

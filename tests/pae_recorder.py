@@ -4,7 +4,7 @@ The sandbox keeps no log of its own; the tests that replay one against a
 brute-force oracle build it here.
 """
 
-from arsenal_sim.bloom import BloomFilter, PairedFilter
+from arsenal_sim.bloom import BloomFilter
 
 
 def record_paes(arsenal) -> list[dict]:
@@ -13,20 +13,22 @@ def record_paes(arsenal) -> list[dict]:
 
     - ``line``: the demanded line
     - ``candidates``: each component's candidates, as a tuple
-    - ``queries``: for each paired filter, ``(answer, fp)`` for the line:
+    - ``queries``: for each Bloom filter, ``(answer, fp)`` for the line:
       the bloom answer that scores it and whether that answer is a false
       positive. Read before the PAE, as ``score_demand`` runs first and so
       sees the same filter state.
     - ``scores``: ``arsenal.scores()`` after the PAE
 
-    The recorder's false-positive tally must equal each paired filter's
-    ``false_positive_probes`` after every PAE.
+    Every Bloom filter counts its false-positive probes (filter kind
+    ``paired`` is an alias of ``bloom``); the recorder's own read of the
+    answer is not counted, and its false-positive tally must equal each
+    filter's ``false_positive_probes`` after every PAE.
     """
     log: list[dict] = []
     candidates: dict[str, tuple] = {}
-    paired = {name: f for name, f in arsenal.filters.items()
-              if isinstance(f, PairedFilter)}
-    fp_tally = {name: f.false_positive_probes for name, f in paired.items()}
+    blooms = {name: f for name, f in arsenal.filters.items()
+              if isinstance(f, BloomFilter)}
+    fp_tally = {name: f.false_positive_probes for name, f in blooms.items()}
 
     for name, component in arsenal.components.items():
         def component_on_pae(ctx, name=name, inner=component.on_pae):
@@ -40,14 +42,16 @@ def record_paes(arsenal) -> list[dict]:
     def on_pae(ctx):
         line = ctx.line
         queries = {}
-        for name, f in paired.items():
-            answer = BloomFilter.query(f, line)  # no probe counted
+        for name, f in blooms.items():
+            probes = f.false_positive_probes
+            answer = f.query(line)
+            f.false_positive_probes = probes  # the recorder's read is no probe
             fp = answer and line not in f.members
             queries[name] = (answer, fp)
             fp_tally[name] += fp
         candidates.clear()
         out = inner(ctx)
-        for name, f in paired.items():
+        for name, f in blooms.items():
             assert f.false_positive_probes == fp_tally[name]
         log.append({"line": line, "candidates": dict(candidates),
                     "queries": queries, "scores": arsenal.scores()})

