@@ -74,7 +74,6 @@ class ArsenalConfig:
     tskid_selection_attempt: int = 10000
     bf_fpp: float = 0.01
     bf_est_cap: int = 2000
-    selection_policy: str = TEST_CASE_2
     # one of bloom.FILTER_KINDS; every Bloom filter counts its false-positive
     # probes, and paired is bloom's alias, kept for acceptance criterion 5
     filter_kind: str = "bloom"
@@ -85,8 +84,6 @@ class ArsenalConfig:
 
     def __post_init__(self):
         check_fields("arsenal", vars(self), ArsenalConfig, ranges=self.RANGES)
-        if self.selection_policy not in ROSTERS:
-            raise ValueError(f"unknown selection policy: {self.selection_policy!r}")
         if self.filter_kind not in FILTER_KINDS:
             raise ValueError(f"unknown filter kind: {self.filter_kind!r}")
         # the overhead report sizes a Bloom filter whatever the filter kind
@@ -145,14 +142,16 @@ def build_components(policy: str, component_params: dict | None = None,
 
 
 class Arsenal:
-    """The framework: components, per-component filters, scoreboard, phases."""
+    """The framework: components, per-component filters, scoreboard, phases.
+    ``policy`` (a ROSTERS key) picks the roster and its selection rule."""
 
-    def __init__(self, config: ArsenalConfig | None = None,
+    def __init__(self, policy: str, config: ArsenalConfig | None = None,
                  component_params: dict | None = None,
                  max_line: int = DEFAULT_MAX_LINE):
+        self.policy = policy
         self.config = config or ArsenalConfig()
         self.components = components = build_components(
-            self.config.selection_policy, component_params, max_line)
+            policy, component_params, max_line)
         self.names = list(components.keys())
         self.filters = {
             name: make_filter(self.config.filter_kind, self.config.bf_est_cap,
@@ -212,7 +211,7 @@ class Arsenal:
         cfg = self.config
         scores = self.scores()
         counters = {name: sb[0] for name, _, _, sb in self._rows}
-        if cfg.selection_policy == TEST_CASE_1:
+        if self.policy == TEST_CASE_1:
             chosen = select_test_case_1(scores, counters, self.chosen,
                                         cfg.tskid_selection_attempt)
         else:
@@ -246,9 +245,8 @@ class Arsenal:
         cfg = self.config
         return {
             "kind": "arsenal",
-            "selection_policy": cfg.selection_policy,
+            "selection_policy": self.policy,
             "components": list(self.names),
             "filter_kind": cfg.filter_kind,
-            **{key: value for key, value in vars(cfg).items()
-               if key not in ("selection_policy", "filter_kind")},
+            **{key: value for key, value in vars(cfg).items() if key != "filter_kind"},
         }

@@ -78,10 +78,6 @@ class StandaloneEngine:
         return detail
 
 
-# the engine name sets the selection policy, so a config may not
-_ARSENAL_FIELDS = set(ArsenalConfig.__dataclass_fields__) - {"selection_policy"}
-
-
 def _check_component_params(params) -> None:
     reject_unknown("component_params", params, COMPONENTS)
     for name, kw in params.items():
@@ -95,7 +91,9 @@ def _check_component_params(params) -> None:
 @dataclass
 class ExperimentConfig:
     """One experiment: a trace source, a cache, and exactly one engine. Each
-    part is checked once, when built: the cache and pattern before this."""
+    part is checked once, when built: the cache and pattern before this, and
+    ``arsenal`` here, into ``arsenal_config`` (seeded from ``seed`` unless
+    ``arsenal`` sets ``master_seed``)."""
     engine: str = ENGINE_NONE
     trace_file: Optional[str] = None
     pattern: Optional[PatternSpec] = None
@@ -114,8 +112,9 @@ class ExperimentConfig:
                              f"(expected one of {', '.join(ENGINE_NAMES)})")
         if self.pattern is not None:
             check_address_range(self.pattern, self.length)
-        reject_unknown("arsenal", self.arsenal, _ARSENAL_FIELDS)
-        ArsenalConfig(**self.arsenal)  # built to be checked; engines build their own
+        reject_unknown("arsenal", self.arsenal, ArsenalConfig.__dataclass_fields__)
+        self.arsenal_config = ArsenalConfig(
+            **{"master_seed": self.seed or ArsenalConfig.master_seed, **self.arsenal})
         _check_component_params(self.component_params)
 
     def events(self) -> Iterable[AccessEvent]:
@@ -164,9 +163,8 @@ def build_engine(cfg: ExperimentConfig, engine: str):
         return NoPrefetchEngine()
     max_line = cfg.cache.max_line
     if engine.startswith(ARSENAL_PREFIX):
-        kw = dict(cfg.arsenal, selection_policy=engine[len(ARSENAL_PREFIX):])
-        kw.setdefault("master_seed", cfg.seed or ArsenalConfig.master_seed)
-        return Arsenal(ArsenalConfig(**kw), cfg.component_params, max_line)
+        return Arsenal(engine[len(ARSENAL_PREFIX):], cfg.arsenal_config,
+                       cfg.component_params, max_line)
     name = engine.replace("-", "_")
     return StandaloneEngine(name, build_component(
         name, cfg.component_params, max_line, standalone=True))
@@ -256,8 +254,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     }
     if isinstance(engine, Arsenal):
         report["overhead"] = overhead_for_test_case(
-            engine.config.selection_policy, engine.config.bf_est_cap,
-            engine.config.bf_fpp)
+            engine.policy, engine.config.bf_est_cap, engine.config.bf_fpp)
     return report
 
 

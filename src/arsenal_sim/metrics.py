@@ -33,15 +33,6 @@ THRESHOLDS_KB_PER_COMPONENT = 0.1
 
 KB = 1024.0
 
-RUN_CSV_COLUMNS = [
-    "label", "engine", "trace", "seed",
-    "total_accesses", "hits", "prefetch_hits", "late_prefetch_hits", "misses",
-    "amat", "baseline_amat", "speedup_proxy",
-    "accuracy", "coverage", "late_rate",
-    "prefetch_attempted", "prefetch_accepted", "prefetch_filled",
-    "prefetch_dropped",
-]
-
 # what compare reports per engine and trace, in CSV column order
 COMPARE_METRICS = ("amat", "speedup_proxy", "coverage", "accuracy")
 COMPARE_CSV_COLUMNS = ["trace", "engine", *COMPARE_METRICS]
@@ -211,10 +202,10 @@ def to_csv(report: dict) -> str:
                 writer.writerow({"trace": entry["label"], "engine": engine,
                                  **{key: _fmt(res[key]) for key in COMPARE_METRICS}})
     else:
-        writer = csv.DictWriter(out, fieldnames=RUN_CSV_COLUMNS,
-                                lineterminator="\n")
+        row = _run_row(report)  # its keys, in order, are the columns
+        writer = csv.DictWriter(out, fieldnames=row, lineterminator="\n")
         writer.writeheader()
-        writer.writerow({k: _fmt(v) for k, v in _run_row(report).items()})
+        writer.writerow({k: _fmt(v) for k, v in row.items()})
     return out.getvalue()
 
 

@@ -193,8 +193,7 @@ def test_criterion_5_oracle_scoring_equivalence():
             ExperimentConfig(engine="none", pattern=spec, length=5000).events())
 
         # exact-set filters: scores must equal the brute-force recomputation
-        exact = Arsenal(ArsenalConfig(selection_policy=policy,
-                                      filter_kind="exact"))
+        exact = Arsenal(policy, ArsenalConfig(filter_kind="exact"))
         exact_log = record_paes(exact)
         sim = Simulation(CacheConfig(), exact)
         sim.run(events)
@@ -204,8 +203,7 @@ def test_criterion_5_oracle_scoring_equivalence():
         assert [d["scores"] for d in exact.selection_timeline] == snapshots
 
         # bloom filters: divergence only upward and only at fp probes
-        paired = Arsenal(ArsenalConfig(selection_policy=policy,
-                                       filter_kind="paired"))
+        paired = Arsenal(policy, ArsenalConfig(filter_kind="paired"))
         paired_log = record_paes(paired)
         sim2 = Simulation(CacheConfig(), paired)
         sim2.run(events)
@@ -365,8 +363,7 @@ def test_criterion_10_component_sanity():
     for _ in range(1000):
         sim.step(next(events))
     warm = sim.cache.demand_counts()
-    for ev in events:
-        sim.step(ev)
+    sim.run(events)
     full = sim.cache.demand_counts()
     post = {k: full[k] - warm[k] for k in full}
     nl_cov = post["prefetch_hits"] / (post["prefetch_hits"] + post["misses"]

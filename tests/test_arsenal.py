@@ -30,8 +30,7 @@ def ctx(line, seq, pc=0x400):
 
 
 def tc2_arsenal(**kw):
-    kw.setdefault("selection_policy", "tc2")
-    return Arsenal(ArsenalConfig(**kw))
+    return Arsenal("tc2", ArsenalConfig(**kw))
 
 
 class TestScoreDemand:
@@ -170,7 +169,7 @@ class TestOnPae:
                                      st.integers(1, 3)), max_size=400))
     def test_kth_decision_at_the_kth_multiple_of_eval_cnt(self, policy, eval_cnt,
                                                           stream):
-        a = Arsenal(ArsenalConfig(selection_policy=policy, eval_cnt=eval_cnt))
+        a = Arsenal(policy, ArsenalConfig(eval_cnt=eval_cnt))
         seqs = []
         seq = 0
         for pc, line, gap in stream:
@@ -263,8 +262,7 @@ class TestOracleEquivalence:
 
     def test_exact_filters_match_brute_force(self):
         rng = random.Random(77)
-        a = Arsenal(ArsenalConfig(selection_policy="tc2", filter_kind="exact",
-                                  eval_cnt=64))
+        a = Arsenal("tc2", ArsenalConfig(filter_kind="exact", eval_cnt=64))
         log = record_paes(a)
         for seq in range(640):
             a.on_pae(ctx(rng.randrange(2048), seq, pc=0x400 + rng.randrange(8) * 8))
@@ -279,9 +277,10 @@ class TestOracleEquivalence:
     def test_bloom_scores_only_inflate_at_false_positives(self, policy, cache, pattern,
                                                           eval_cnt, inc, dec,
                                                           filter_size):
-        a = Arsenal(ArsenalConfig(selection_policy=policy, filter_kind="paired",
-                                  eval_cnt=eval_cnt, score_inc=inc, score_dec=dec,
-                                  bf_est_cap=filter_size[0], bf_fpp=filter_size[1]))
+        a = Arsenal(policy, ArsenalConfig(filter_kind="paired", eval_cnt=eval_cnt,
+                                          score_inc=inc, score_dec=dec,
+                                          bf_est_cap=filter_size[0],
+                                          bf_fpp=filter_size[1]))
         log = record_paes(a)
         Simulation(cache, a).run(generate(pattern, 600))
         # step through the log against exact membership: an answer differs
@@ -329,7 +328,6 @@ class TestConfigAndRosters:
         assert comps[NEXT_LINE].degree == 3
 
     @pytest.mark.parametrize("kw", [
-        {"selection_policy": "tc3"},
         {"filter_kind": "counting"},
         {"eval_cnt": 0},
         {"bf_fpp": 0.0},

@@ -276,6 +276,8 @@ MALFORMED = [
     (("compare",), {"policy": "tc1",
                     "component_params": {"tskid": {"verification_expiry": -8}}},
      {}, "component_params.tskid field verification_expiry must be >= 0, got -8"),
+    # a policy names a roster; run takes it from the engine name, compare here
+    (("compare",), {"policy": "tc3"}, {}, "unknown selection policy: 'tc3'"),
 ]
 
 
@@ -711,6 +713,7 @@ class TestChecksRunOnce:
         # the pattern once, when built, and so each segment's
         assert (checks["cache"], checks["experiment"]) == (1, 1)
         assert (checks["pattern"], checks["pattern segment"]) == (3, 2)
+        assert checks["arsenal"] == 1
 
     def test_compare_of_two_pattern_traces(self, tmp_path, checks):
         code, _ = run_config(tmp_path, "compare", {"policy": "tc1", "seed": 2, "traces": [
@@ -719,6 +722,7 @@ class TestChecksRunOnce:
                                          "working_set_lines": 64}, "length": 300}]})
         assert code == 0
         assert (checks["cache"], checks["compare trace"], checks["pattern"]) == (1, 2, 2)
+        assert checks["arsenal"] == 2  # once per trace's experiment
 
 
 class TestStreamedTraceError:

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import pathlib
@@ -8,7 +9,6 @@ from arsenal_sim.cache import CacheConfig
 from arsenal_sim.harness import ExperimentConfig, run_experiment
 from arsenal_sim.metrics import (
     COMPARE_CSV_COLUMNS,
-    RUN_CSV_COLUMNS,
     compute_metrics,
     emit_report,
     overhead,
@@ -21,6 +21,16 @@ from arsenal_sim.traces import PatternSpec
 
 # a no-prefetch run's AMAT, for the tests that read no speedup
 BASELINE_AMAT = 200.0
+
+README = pathlib.Path(__file__).parent.parent / "README.md"
+
+
+def documented_run_csv_header() -> str:
+    """The run CSV columns as README.md lists them, in its code block after
+    "exactly these columns", joined into one header line."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("exactly these columns:", 1)[1].split("```")[1]
+    return "".join(block.split())
 
 
 def demand(hits=0, pf=0, late=0, misses=0):
@@ -135,12 +145,11 @@ class TestEmitReport:
     def test_csv_header_matches_documented_columns(self, small_report):
         text = to_csv(small_report)
         header = text.splitlines()[0]
-        assert header == ",".join(RUN_CSV_COLUMNS)
+        assert header == documented_run_csv_header()
         assert len(text.splitlines()) == 2
 
     def test_csv_row_content(self, small_report):
-        row = to_csv(small_report).splitlines()[1].split(",")
-        by_col = dict(zip(RUN_CSV_COLUMNS, row))
+        [by_col] = csv.DictReader(io.StringIO(to_csv(small_report)))
         assert by_col["engine"] == "next-line"
         assert by_col["trace"] == "sequential"
         assert int(by_col["total_accesses"]) == 3000
