@@ -59,6 +59,14 @@ ROSTERS = {
     TEST_CASE_2: (SPP, IP_STRIDE, NEXT_LINE),
 }
 
+
+def roster(policy: str) -> tuple:
+    """The components a selection policy (a ROSTERS key) runs, in order."""
+    if policy not in ROSTERS:
+        raise ValueError(f"unknown selection policy: {policy!r}")
+    return ROSTERS[policy]
+
+
 SCORE_MAX = 2047        # 11-bit saturating score
 PREFETCH_COUNTER_MAX = 4095  # 12-bit saturating attempt counter
 
@@ -138,7 +146,7 @@ def build_components(policy: str, component_params: dict | None = None,
                      max_line: int = DEFAULT_MAX_LINE) -> dict:
     """Instantiate the component roster for a selection policy."""
     return {name: build_component(name, component_params or {}, max_line)
-            for name in ROSTERS[policy]}
+            for name in roster(policy)}
 
 
 class Arsenal:

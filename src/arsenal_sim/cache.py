@@ -9,7 +9,7 @@ to a line still in flight), or a miss; everything except a plain hit is a
 prefetch activation event (PAE) and is what drives the prefetchers.
 """
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -80,8 +80,8 @@ class SetAssociativeCache:
         self._ways = config.ways
         # a set's dict is made on first touch, so the set count costs nothing
         self._sets: defaultdict[int, dict[int, list | bool]] = defaultdict(dict)
-        self._inflight: dict[int, tuple] = {}   # line -> (fill_seq, source row)
-        self._fifo: deque[tuple[int, int]] = deque()  # (line, fill_seq), fill order
+        # line -> (fill_seq, source row), in fill order: the fill queue
+        self._inflight: dict[int, tuple] = {}
         self._out_hit = AccessOutcome(HIT, config.hit_latency, False)
         self._out_pf = AccessOutcome(PREFETCH_HIT, config.hit_latency, True)
         self._out_late = AccessOutcome(LATE_PREFETCH_HIT, config.late_latency, True)
@@ -120,8 +120,8 @@ class SetAssociativeCache:
         Every prefetch whose fill is due by the event's seq is installed
         first (fill_due), so a line that lands at that seq is a prefetch hit.
         """
-        fifo = self._fifo
-        if fifo and fifo[0][1] <= event.seq:
+        inflight = self._inflight
+        if inflight and next(iter(inflight.values()))[0] <= event.seq:
             self.fill_due(event.seq)
         line = event.addr >> self._shift
         lines = self._sets[line & self._set_mask]
@@ -134,7 +134,7 @@ class SetAssociativeCache:
                 return self._out_pf
             self.hits += 1
             return self._out_hit
-        if self._inflight.pop(line, None) is not None:
+        if inflight.pop(line, None) is not None:
             # near-miss: the in-flight entry becomes this demand's fill
             self.late_prefetch_hits += 1
             self._install(line, False)
@@ -144,7 +144,11 @@ class SetAssociativeCache:
         return self._out_miss
 
     def enqueue_prefetch(self, line: int, source: str, now: int) -> bool:
-        """Queue a line for prefetch; False when deduped or the queue is full."""
+        """Queue a line for prefetch; False when deduped or the queue is full.
+
+        ``now`` must not decrease from call to call: every fill waits the
+        same delay, so the in-flight dict's insertion order is fill order.
+        """
         row = self.by_source[source]
         row[0] += 1
         if line in self._sets[line & self._set_mask]:
@@ -158,24 +162,18 @@ class SetAssociativeCache:
             return False
         fill_seq = now + self.config.prefetch_fill_delay
         self._inflight[line] = (fill_seq, row)
-        self._fifo.append((line, fill_seq))
         row[1] += 1
         return True
 
     def fill_due(self, now: int) -> int:
         """Install every in-flight prefetch whose fill time has arrived."""
-        fifo = self._fifo
         inflight = self._inflight
         filled = 0
-        while fifo:
-            line, fill_seq = fifo[0]
+        while inflight:
+            line, (fill_seq, row) = next(iter(inflight.items()))
             if fill_seq > now:
                 break
-            fifo.popleft()
-            entry = inflight.get(line)
-            if entry is None or entry[0] != fill_seq:
-                continue  # stale: converted to a demand fill in the meantime
-            row = inflight.pop(line)[1]
+            del inflight[line]
             self._install(line, row)
             row[2] += 1
             filled += 1

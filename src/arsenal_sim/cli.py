@@ -22,8 +22,7 @@ from .harness import (
 )
 from .arsenal import ROSTERS, TEST_CASE_2
 from .metrics import FORMATS, emit_report, overhead, overhead_for_test_case
-from .traces import (LENGTH_RANGE, PatternSpec, check_address_range, check_fields,
-                     generate, write_trace)
+from .traces import check_fields, write_trace
 
 
 def _pattern_fields(text: str) -> dict:
@@ -46,11 +45,6 @@ def _pattern_fields(text: str) -> dict:
                 except ValueError:
                     params[key] = value
     return params
-
-
-def parse_pattern_arg(text: str) -> PatternSpec:
-    """--pattern as a checked PatternSpec."""
-    return PatternSpec.from_dict(_pattern_fields(text))
 
 
 def _load_config(args, flags: tuple) -> dict:
@@ -136,11 +130,10 @@ def cmd_overhead(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    spec = parse_pattern_arg(args.pattern)
-    check_fields("gen", {"length": args.length}, {"length": 1}, ranges=LENGTH_RANGE)
-    check_address_range(spec, args.length)
+    cfg = experiment_from_dict({"pattern": _pattern_fields(args.pattern),
+                                "length": args.length, "seed": args.seed or 0})
     with _open_sink(args.out) as sink:
-        write_trace(generate(spec, args.length, args.seed), sink)
+        write_trace(cfg.events(), sink)
     return 0
 
 

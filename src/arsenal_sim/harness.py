@@ -29,6 +29,7 @@ from .arsenal import (
     Arsenal,
     ArsenalConfig,
     build_component,
+    roster,
 )
 from .cache import SOURCE_FIELDS, CacheConfig, SetAssociativeCache, amat
 from .metrics import COMPARE_METRICS, FORMATS, compute_metrics, overhead_for_test_case
@@ -51,8 +52,6 @@ SLICE_EVENTS = 256
 
 
 class NoPrefetchEngine:
-    name = ENGINE_NONE
-
     def on_pae(self, ctx: PaeContext) -> tuple[None, list[int]]:
         return None, []
 
@@ -118,7 +117,8 @@ class ExperimentConfig:
         _check_component_params(self.component_params)
 
     def events(self) -> Iterable[AccessEvent]:
-        """One pass over the trace; a trace file is read as it is consumed."""
+        """One pass over the trace; a trace file is read as it is consumed.
+        A pattern's own nonzero seed wins over the experiment's."""
         if self.trace_file is not None:
             return stream_trace_file(self.trace_file)
         return generate(self.pattern, self.length, self.pattern.seed or self.seed)
@@ -269,11 +269,9 @@ def compare_engines(traces: list[dict], policy: str = TEST_CASE_2,
     ``arsenal`` and ``component_params``; each is checked as ``run`` checks
     it, and an omitted one takes its default.
     """
-    if policy not in ROSTERS:
-        raise ValueError(f"unknown selection policy: {policy!r}")
+    standalone = [name.replace("_", "-") for name in roster(policy)]
     if not traces:
         raise ValueError("compare requires at least one trace")
-    standalone = [name.replace("_", "-") for name in ROSTERS[policy]]
     engines = [ENGINE_NONE, *standalone, ARSENAL_PREFIX + policy]
     cache = cache or CacheConfig()
 

@@ -5,7 +5,7 @@ import io
 import json
 import math
 
-from .arsenal import COMPONENTS, ROSTERS
+from .arsenal import COMPONENTS, roster
 from .bloom import derive_parameters
 from .cache import CacheConfig, amat
 from .traces import INT_CAP, check_fields
@@ -136,9 +136,7 @@ def overhead(n_components: int, bloom_capacity: int = 2000,
 
 def overhead_for_test_case(policy: str, bloom_capacity: int = 2000,
                            bloom_fpp: float = 0.01) -> dict:
-    if policy not in ROSTERS:
-        raise ValueError(f"unknown test case: {policy!r}")
-    costs = {name: COMPONENTS[name].cost_kb for name in ROSTERS[policy]}
+    costs = {name: COMPONENTS[name].cost_kb for name in roster(policy)}
     report = overhead(len(costs), bloom_capacity, bloom_fpp, costs)
     report["policy"] = policy
     return report

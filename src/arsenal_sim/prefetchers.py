@@ -12,6 +12,7 @@ delays its issue to match the learned trigger-to-use distance (tskid).
 """
 
 import heapq
+from collections import deque
 from typing import NamedTuple
 
 DEFAULT_MAX_LINE = (1 << 58) - 1  # 64-bit byte addresses, 64-byte lines
@@ -155,7 +156,6 @@ class SppPrefetcher:
         self.pt_entries = pt_entries
         self.pt_slots = pt_slots
         self.counter_max = counter_max
-        self.ghr_entries = ghr_entries
         self.lookahead_depth = lookahead_depth
         self.confidence_threshold = confidence_threshold
         self.page_lines = page_lines
@@ -165,8 +165,8 @@ class SppPrefetcher:
         # pt index -> [c_sig, slots, best]; slot = [delta, c_delta], and
         # best is the slot of highest _rank
         self.pattern_table: dict[int, list] = {}
-        # ring of [signature, last_offset, delta]
-        self.ghr: list[list] = []
+        # the last ghr_entries (signature, last_offset, delta), oldest first
+        self.ghr: deque[tuple] = deque(maxlen=ghr_entries)
         # chain instrumentation, checked by the acceptance suite
         self.max_chain_depth = 0
         self.confidence_violations = 0
@@ -219,11 +219,6 @@ class SppPrefetcher:
                 return self._update_signature(sig, delta)
         return None
 
-    def _ghr_push(self, sig: int, offset: int, delta: int) -> None:
-        if len(self.ghr) >= self.ghr_entries:
-            self.ghr.pop(0)
-        self.ghr.append([sig, offset, delta])
-
     def on_pae(self, ctx: PaeContext) -> list[int]:
         page_lines = self.page_lines
         page, offset = divmod(ctx.line, page_lines)
@@ -268,7 +263,7 @@ class SppPrefetcher:
                 break
             nxt = offset + delta
             if nxt < 0 or nxt >= page_lines:
-                self._ghr_push(sig, offset, delta)
+                self.ghr.append((sig, offset, delta))
                 break
             cand = page_base + nxt
             if cand > self.max_line:

@@ -323,6 +323,10 @@ class TestConfigAndRosters:
         comps = build_components("tc2", {})
         assert set(comps) == {SPP, IP_STRIDE, NEXT_LINE}
 
+    def test_unknown_policy_is_named(self):
+        with pytest.raises(ValueError, match="unknown selection policy: 'tc3'"):
+            Arsenal("tc3")
+
     def test_component_params_forwarded(self):
         comps = build_components("tc2", {NEXT_LINE: {"degree": 3}})
         assert comps[NEXT_LINE].degree == 3

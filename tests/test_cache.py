@@ -262,6 +262,28 @@ class TestAgainstReferenceModel:
             want = ref.access(line)
             assert got == want, f"access diverged at seq {seq}: {got} vs {want}"
 
+    @pytest.mark.parametrize("delay", [0, 1, 6])
+    def test_outcomes_match_naive_model_in_harness_order(self, delay):
+        # as Simulation.run calls it: access, then enqueue at the same seq,
+        # with no fill_due call, so access alone drains the due fills
+        cfg = CacheConfig(sets=8, ways=2, prefetch_fill_delay=delay,
+                          prefetch_queue_capacity=16)
+        c = SetAssociativeCache(cfg)
+        ref = ReferenceCache(8, 2, delay)
+        rng = random.Random(17)
+        for seq in range(8000):
+            ref.fill_due(seq)
+            line = rng.randrange(64)
+            got = c.access(ev(line, seq)).kind
+            want = ref.access(line)
+            assert got == want, f"access diverged at seq {seq}: {got} vs {want}"
+            for _ in range(rng.randrange(4)):
+                line = rng.randrange(64)
+                got = c.enqueue_prefetch(line, "x", seq)
+                want = ref.enqueue(line, seq)
+                assert got == want, f"enqueue diverged at seq {seq}"
+        assert c.in_flight_count == len(ref.pending)
+
     def test_lru_evicts_oldest_touch(self):
         c = make_cache(sets=1, ways=3)
         c.access(ev(1, 0))

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from arsenal_sim import harness
 from arsenal_sim.bloom import FILTER_KINDS
-from arsenal_sim.cli import main, parse_pattern_arg
+from arsenal_sim.cli import _pattern_fields, main
 from arsenal_sim.cache import SetAssociativeCache
-from arsenal_sim.traces import stream_trace_file
+from arsenal_sim.traces import PatternSpec, stream_trace_file
 
 
 def run_cli(*argv):
@@ -441,6 +441,16 @@ class TestGen:
                     "--length", "500", "--seed", "9", "--out", str(path))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_writes_the_events_run_simulates(self, tmp_path):
+        # the pattern's own seed wins over --seed, as it does for run
+        fields = {"kind": "random_working_set", "seed": 5, "working_set_lines": 64}
+        out = tmp_path / "rws.trace"
+        assert run_cli("gen", "--pattern", json.dumps(fields), "--length", "50",
+                       "--seed", "7", "--out", str(out)) == 0
+        cfg = harness.experiment_from_dict({"pattern": fields, "length": 50,
+                                            "seed": 7})
+        assert list(stream_trace_file(str(out))) == list(cfg.events())
+
     @pytest.mark.parametrize("pattern,length,message", [
         ("stride:stride=-64", "3", "pattern stride reaches PC or ADDR -0x80, outside"),
         ("sequential:start=-1", "1", "pattern sequential reaches PC or ADDR -0x1"),
@@ -796,15 +806,15 @@ class TestOverheadVerb:
 
 class TestPatternArg:
     def test_shorthand_with_params(self):
-        spec = parse_pattern_arg("stride:stride=0x200,start=64")
+        spec = PatternSpec.from_dict(_pattern_fields("stride:stride=0x200,start=64"))
         assert spec.kind == "stride"
         assert spec.stride == 0x200
         assert spec.start == 64
 
     def test_inline_json(self):
-        spec = parse_pattern_arg(json.dumps(
+        spec = PatternSpec.from_dict(_pattern_fields(json.dumps(
             {"kind": "pc_delta",
-             "streams": [{"pc": 4, "start": 0, "delta": 64}]}))
+             "streams": [{"pc": 4, "start": 0, "delta": 64}]})))
         assert spec.kind == "pc_delta"
 
     def test_bad_kind_fails_cli(self):
