@@ -47,7 +47,7 @@ class Component(NamedTuple):
 # Entry order is the order of the standalone engines.
 COMPONENTS = {
     SPP: Component(SppPrefetcher, 5.73),
-    IP_STRIDE: Component(IpStridePrefetcher, 5.47, standalone_degree=8),
+    IP_STRIDE: Component(IpStridePrefetcher, 5.47),
     NEXT_LINE: Component(NextLinePrefetcher, 0.0, standalone_degree=5),
     MLOP: Component(MlopPrefetcher, 12.0),
     TSKID: Component(TskidPrefetcher, 52.5),

@@ -107,8 +107,11 @@ class SetAssociativeCache:
         return len(self._inflight)
 
     def _install(self, line: int, row) -> None:
+        # line is never resident: a demand installs it after its set's pop
+        # missed, and a fill only while it stays in flight, which a demand
+        # to it would have ended
         lines = self._sets[line & self._set_mask]
-        if len(lines) >= self._ways and line not in lines:
+        if len(lines) >= self._ways:
             self.evictions += 1
             if lines.pop(next(iter(lines))):
                 self.evicted_unused_prefetches += 1

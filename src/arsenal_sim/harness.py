@@ -71,9 +71,8 @@ class StandaloneEngine:
 
     def describe(self) -> dict:
         detail = {"kind": "standalone", "component": self.name}
-        degree = getattr(self.component, "degree", None)
-        if degree is not None:
-            detail["degree"] = degree
+        if "degree" in self.component.RANGES:
+            detail["degree"] = self.component.degree
         return detail
 
 

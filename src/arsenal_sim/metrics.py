@@ -5,8 +5,8 @@ import io
 import json
 import math
 
-from .arsenal import COMPONENTS, roster
-from .bloom import derive_parameters
+from .arsenal import COMPONENTS, PREFETCH_COUNTER_MAX, SCORE_MAX, roster
+from .bloom import BloomParams
 from .cache import CacheConfig, amat
 from .traces import INT_CAP, check_fields
 
@@ -15,8 +15,8 @@ from .traces import INT_CAP, check_fields
 # carry-out on the 512th PAE fires the decision, so 512 is never stored.
 # The selection timeline's eval_counters show the saturated count instead.
 EVAL_COUNTER_BITS = 9
-PREFETCH_COUNTER_BITS = 12
-SCORE_BITS = 11
+PREFETCH_COUNTER_BITS = PREFETCH_COUNTER_MAX.bit_length()
+SCORE_BITS = SCORE_MAX.bit_length()
 
 # fixed per-filter metadata carried alongside the bit table (bits)
 BLOOM_METADATA_BITS = {
@@ -82,8 +82,8 @@ def overhead(n_components: int, bloom_capacity: int = 2000,
     component_costs_kb = component_costs_kb or {}
 
     counter_bits = EVAL_COUNTER_BITS + PREFETCH_COUNTER_BITS + SCORE_BITS
-    m, k = derive_parameters(bloom_capacity, bloom_fpp)
-    bit_table_bytes = (m + 7) // 8
+    params = BloomParams.create(bloom_capacity, bloom_fpp)
+    bit_table_bytes = params.bit_table_bytes
     metadata_bits = sum(BLOOM_METADATA_BITS.values())
     bloom_bits = metadata_bits + SALT_TABLE_BITS + bit_table_bytes * 8
     bloom_bytes = bloom_bits / 8.0
@@ -109,9 +109,9 @@ def overhead(n_components: int, bloom_capacity: int = 2000,
         "bloom_parameters": {
             "projected_capacity": bloom_capacity,
             "target_fpp": bloom_fpp,
-            "bit_table_bits": m,
+            "bit_table_bits": params.bit_table_size,
             "bit_table_bytes": bit_table_bytes,
-            "hash_count": k,
+            "hash_count": params.hash_count,
         },
         "per_component": {
             "counter_bits": {

@@ -7,8 +7,9 @@ each other; replaying the same PAE sequence yields the same candidates.
 
 Five components: next-line with a score-driven degree, an IP-indexed stride
 predictor, a signature-path predictor with recursive lookahead (spp), a
-multi-lookahead offset scorer (mlop), and a PC-indexed delta predictor that
-delays its issue to match the learned trigger-to-use distance (tskid).
+multi-lookahead offset scorer (mlop), and tskid: the IP-indexed stride table
+at degree 1, plus timing that delays each issue to match the learned
+trigger-to-use distance.
 """
 
 import heapq
@@ -77,13 +78,15 @@ class IpStridePrefetcher:
     """Per-PC stride table: 64 LRU entries, degree-8 strided candidates."""
 
     RANGES = {"table_size": (1, None), "degree": (1, MAX_PER_PAE)}
+    FRESH = (0, 0)  # a new PC's entry after its last_line: stride, confidence
 
     def __init__(self, table_size: int = 64, degree: int = 8,
                  max_line: int = DEFAULT_MAX_LINE):
         self.table_size = table_size
         self.degree = degree
         self.max_line = max_line
-        # pc -> [last_line, stride, confidence], in touch order
+        # pc -> [last_line, stride, confidence, ...], a new PC's
+        # [line, *FRESH], in touch order
         self.table: dict[int, list] = {}
 
     def on_pae(self, ctx: PaeContext) -> list[int]:
@@ -92,7 +95,7 @@ class IpStridePrefetcher:
         if entry is None:
             if len(table) >= self.table_size:
                 del table[next(iter(table))]
-            table[ctx.pc] = [ctx.line, 0, 0]
+            table[ctx.pc] = [ctx.line, *self.FRESH]
             return []
         table[ctx.pc] = entry
         delta = ctx.line - entry[0]
@@ -109,6 +112,11 @@ class IpStridePrefetcher:
                     out.append(cand)
             return out
         return []
+
+
+# The stride table's step, as TSKID calls it: by this name, a wrapper put on
+# IpStridePrefetcher.on_pae from outside sees only IP-stride's own PAEs.
+_stride_step = IpStridePrefetcher.on_pae
 
 
 def _encode_delta(delta: int) -> int:
@@ -364,27 +372,25 @@ class MlopPrefetcher:
         return out
 
 
-class TskidPrefetcher:
-    """PC-indexed delta predictor that times its issue.
+class TskidPrefetcher(IpStridePrefetcher):
+    """The stride table at degree 1, plus timing.
 
-    Like the stride table, but each prediction is verified against later
-    demands to learn the trigger-to-use distance for that PC; subsequent
+    Each prediction is verified against later demands to learn the
+    trigger-to-use distance for its PC (the entry's use_distance); later
     predictions are parked in a delay queue and released that many ticks
     (minus a fixed lead) after their trigger.
     """
 
     RANGES = {"table_size": (1, None), "lead": (0, None),
               "verification_expiry": (0, None)}
+    FRESH = (0, 0, 0)  # stride, confidence, use_distance
 
     def __init__(self, table_size: int = 64, lead: int = 4,
                  verification_expiry: int = 1024,
                  max_line: int = DEFAULT_MAX_LINE):
-        self.table_size = table_size
+        super().__init__(table_size, 1, max_line)
         self.lead = lead
         self.verification_expiry = verification_expiry
-        self.max_line = max_line
-        # pc -> [last_line, delta, confidence, use_distance], in touch order
-        self.table: dict[int, list] = {}
         # (release_seq, trigger_seq, line); trigger seqs rise strictly per
         # push, so they break release ties in push order
         self._delay_queue: list[tuple[int, int, int]] = []
@@ -417,23 +423,10 @@ class TskidPrefetcher:
             owner = self.table.get(pc)
             if owner is not None:
                 owner[3] = now - trigger_seq
-        table = self.table
-        entry = table.pop(ctx.pc, None)
-        if entry is None:
-            if len(table) >= self.table_size:
-                del table[next(iter(table))]
-            table[ctx.pc] = [ctx.line, 0, 0, 0]
-            return out
-        table[ctx.pc] = entry
-        delta = ctx.line - entry[0]
-        _train_stride(entry, delta)
-        entry[0] = ctx.line
-        if entry[2] >= 2 and entry[1] != 0:
-            predicted = ctx.line + entry[1]
-            if 0 <= predicted <= self.max_line:
-                release = now + max(0, entry[3] - self.lead)
-                heapq.heappush(self._delay_queue, (release, now, predicted))
-                self._pending.pop(predicted, None)
-                self._pending[predicted] = (ctx.pc, now)
-                self._release_due(now, out)  # untrained timing issues immediately
+        for predicted in _stride_step(self, ctx):  # degree 1: at most one
+            release = now + max(0, self.table[ctx.pc][3] - self.lead)
+            heapq.heappush(self._delay_queue, (release, now, predicted))
+            self._pending.pop(predicted, None)
+            self._pending[predicted] = (ctx.pc, now)
+            self._release_due(now, out)  # untrained timing issues immediately
         return out

@@ -164,7 +164,7 @@ class PatternSpec:
     segments: list = field(default_factory=list)
     seed: int = 0
 
-    RANGES = {"write_fraction": (0, 1), "line_size": (1, None)}
+    RANGES = {"pc_pool": (0, None), "write_fraction": (0, 1), "line_size": (1, None)}
 
     def __post_init__(self):
         check_fields("pattern", vars(self), PatternSpec, ranges=self.RANGES)

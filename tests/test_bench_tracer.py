@@ -18,7 +18,8 @@ PHASED = {"kind": "phased", "seed": 1, "segments": [
     {"spec": {"kind": "sequential", "start": 1 << 24}, "length": LENGTH // 2}]}
 
 
-def test_traced_phased_run_counts_every_layer(tmp_path, monkeypatch):
+def traced_run(tmp_path, monkeypatch, engine: str) -> tuple[dict, dict]:
+    """A traced phased ``run`` of ``engine``: its report and layer metrics."""
     monkeypatch.syspath_prepend(str(BENCH))
     import tracing
 
@@ -26,15 +27,19 @@ def test_traced_phased_run_counts_every_layer(tmp_path, monkeypatch):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        code = cli.main(["run", "--engine", "arsenal-tc2", "--pattern",
+        code = cli.main(["run", "--engine", engine, "--pattern",
                          json.dumps(PHASED), "--length", str(LENGTH),
                          "--out", str(out)])
     finally:
         tracer.uninstall()
     assert code == 0
-    timeline = json.loads(out.read_text())["selection_timeline"]
+    return json.loads(out.read_text()), tracer.layer_metrics()
+
+
+def test_traced_phased_run_counts_every_layer(tmp_path, monkeypatch):
+    report, layers = traced_run(tmp_path, monkeypatch, "arsenal-tc2")
+    timeline = report["selection_timeline"]
     assert timeline
-    layers = tracer.layer_metrics()
     assert layers["traces.passes"] == 1
     assert layers["traces.events"] == LENGTH
     # the engine's cache and the no-prefetch baseline's, over one pass
@@ -46,3 +51,14 @@ def test_traced_phased_run_counts_every_layer(tmp_path, monkeypatch):
     # tc2 queries each of its three filters on every PAE, so a query path
     # that bypasses BloomFilter.query would leave the bench's counts short
     assert layers["bloom.query.calls"] == 3 * layers["arsenal.on_pae.calls"]
+
+
+def test_traced_tc1_run_counts_each_component_as_its_own(tmp_path, monkeypatch):
+    # tskid runs ip_stride's table step, so a step taken through
+    # IpStridePrefetcher.on_pae would count tskid's PAEs as ip_stride's too
+    _, layers = traced_run(tmp_path, monkeypatch, "arsenal-tc1")
+    paes = layers["arsenal.on_pae.calls"]
+    assert paes > 0
+    assert layers["prefetchers.tskid.on_pae.calls"] == paes
+    assert layers["prefetchers.mlop.on_pae.calls"] == paes
+    assert layers["prefetchers.ip_stride.on_pae.calls"] == 0

@@ -278,6 +278,18 @@ MALFORMED = [
      {}, "component_params.tskid field verification_expiry must be >= 0, got -8"),
     # a policy names a roster; run takes it from the engine name, compare here
     (("compare",), {"policy": "tc3"}, {}, "unknown selection policy: 'tc3'"),
+    # a pool of 0 PCs draws from one PC, as a pool of 1 does
+    (BOTH, {}, {"pattern": {"kind": "sequential", "pc_pool": -3}},
+     "pattern field pc_pool must be >= 0, got -3"),
+    (BOTH, {}, {"pattern": phased({"spec": {"kind": "random_working_set",
+                                            "pc_pool": -1}, "length": 10})},
+     "pattern field pc_pool must be >= 0, got -1"),
+    # tskid runs the ip_stride table at degree 1, and only at degree 1
+    (("run",), {"engine": "tskid", "component_params": {"tskid": {"degree": 2}}},
+     {}, "unknown component_params.tskid fields: ['degree']"),
+    (("compare",), {"policy": "tc1",
+                    "component_params": {"tskid": {"degree": 1}}}, {},
+     "unknown component_params.tskid fields: ['degree']"),
 ]
 
 

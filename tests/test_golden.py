@@ -2,10 +2,12 @@
 
 ``golden_report.json`` (``test_metrics``) pins one arsenal-tc2 ``run``.
 The files here pin the rest: a tc1 and a tc2 ``compare``, which report
-every standalone component and both sandboxes, and one arsenal-tc1
-``run``, which adds the tc1 selection timeline and the mlop and tskid
-``by_source`` rows that ``compare`` does not report. All three read the
-same three 6,144-event pattern traces.
+each engine's summary metrics per trace; one arsenal-tc1 ``run``, which
+adds the tc1 selection timeline and the mlop and tskid ``by_source`` rows
+that ``compare`` does not report; and one ``run`` of each standalone
+engine and of ``none``, which pin the ``engine_detail``, ``prefetch`` and
+``per_component`` sections that no ``compare`` reports. All of them read
+the same three 6,144-event pattern traces.
 
 The files are regenerated only on purpose, with a CHANGES.md note that
 says why: ``PYTHONPATH=src python tests/test_golden.py``.
@@ -47,10 +49,15 @@ RUN_TC1 = {"engine": "arsenal-tc1", "seed": SEED, "label": "golden-tc1",
                {"spec": pattern, "length": LENGTH}
                for pattern in PATTERNS.values()]}}
 
+STANDALONE_ENGINES = ("none", "spp", "ip-stride", "next-line", "mlop", "tskid")
+
 GOLDENS = {
     "golden_compare_tc1.json": ("compare", compare_config("tc1")),
     "golden_compare_tc2.json": ("compare", compare_config("tc2")),
     "golden_run_tc1.json": ("run", RUN_TC1),
+    **{f"golden_run_{engine.replace('-', '_')}.json":
+       ("run", dict(RUN_TC1, engine=engine, label=f"golden-{engine}"))
+       for engine in STANDALONE_ENGINES},
 }
 
 

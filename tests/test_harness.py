@@ -1,8 +1,10 @@
 import json
+import pathlib
 
 import pytest
 
 from arsenal_sim import arsenal, harness
+from arsenal_sim.arsenal import COMPONENTS, ArsenalConfig
 from arsenal_sim.cache import CacheConfig
 from arsenal_sim.harness import (
     ENGINE_NAMES,
@@ -14,7 +16,9 @@ from arsenal_sim.harness import (
     experiment_from_dict,
     run_experiment,
 )
-from arsenal_sim.traces import PatternSpec
+from arsenal_sim.traces import INT_CAP, LENGTH_RANGE, PatternSpec
+
+README = pathlib.Path(__file__).parent.parent / "README.md"
 
 
 def pc_delta_streams(n=8, delta=512):
@@ -269,3 +273,40 @@ class TestExperimentFromDict:
                                     "length": 10,
                                     "out": "r.json", "format": "json"})
         assert cfg.length == 10
+
+
+def documented_ranges() -> dict:
+    """README.md's range table, (object, field) -> range, as it reads: the
+    rows after its "| object | field | range |" header, one pair for each
+    field a row lists."""
+    text = README.read_text(encoding="utf-8")
+    table = text.split("| object | field | range |", 1)[1].split("\n\n", 1)[0]
+    ranges = {}
+    for row in table.strip().splitlines()[1:]:  # the first is the separator
+        obj, keys, bounds = (cell.strip() for cell in row.strip("|").split("|"))
+        for key in keys.split(","):
+            ranges[obj, key.strip().strip("`")] = bounds
+    return ranges
+
+
+def range_text(low, high, strict=False) -> str:
+    """A RANGES entry as README.md writes it."""
+    def show(value):
+        return "2**64" if value == INT_CAP else str(value)
+    if low is None:
+        return f"<= {show(high)}"
+    if high is None:
+        return f">= {show(low)}"
+    if strict:
+        return f"({show(low)}, {show(high)})"
+    return f"[{show(low)}, {show(high)}]"
+
+
+def test_readme_range_table_is_the_codes():
+    tables = {"top level, `compare` trace, phased segment": LENGTH_RANGE,
+              "`cache`": CacheConfig.RANGES, "`pattern`": PatternSpec.RANGES,
+              "`arsenal`": ArsenalConfig.RANGES,
+              **{f"`{name}`": c.cls.RANGES for name, c in COMPONENTS.items()}}
+    declared = {(obj, key): range_text(*bounds)
+                for obj, table in tables.items() for key, bounds in table.items()}
+    assert documented_ranges() == declared
