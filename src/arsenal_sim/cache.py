@@ -1,7 +1,7 @@
 """Set-associative cache model with prefetch fill timing.
 
 Time is measured in demand-access ticks (the trace index), not cycles.
-Latencies are bookkeeping attached to each access outcome; the prefetch
+Latencies price each outcome class in ``amat`` only; the prefetch
 queue holds in-flight lines that become resident a fixed number of ticks
 after they were enqueued. Every access is classified as a hit, a prefetch
 hit (first demand touch of a prefetched line), a late prefetch hit (demand
@@ -25,7 +25,6 @@ SOURCE_FIELDS = ("issued", "accepted", "filled", "useful")  # a source's row
 
 class AccessOutcome(NamedTuple):
     kind: str
-    latency: int
     is_pae: bool
 
 
@@ -82,10 +81,10 @@ class SetAssociativeCache:
         self._sets: defaultdict[int, dict[int, list | bool]] = defaultdict(dict)
         # line -> (fill_seq, source row), in fill order: the fill queue
         self._inflight: dict[int, tuple] = {}
-        self._out_hit = AccessOutcome(HIT, config.hit_latency, False)
-        self._out_pf = AccessOutcome(PREFETCH_HIT, config.hit_latency, True)
-        self._out_late = AccessOutcome(LATE_PREFETCH_HIT, config.late_latency, True)
-        self._out_miss = AccessOutcome(MISS, config.miss_latency, True)
+        self._out_hit = AccessOutcome(HIT, False)
+        self._out_pf = AccessOutcome(PREFETCH_HIT, True)
+        self._out_late = AccessOutcome(LATE_PREFETCH_HIT, True)
+        self._out_miss = AccessOutcome(MISS, True)
         # demand outcome counters; a prefetch hit is its source's useful count
         self.hits = 0
         self.late_prefetch_hits = 0
@@ -168,10 +167,9 @@ class SetAssociativeCache:
         row[1] += 1
         return True
 
-    def fill_due(self, now: int) -> int:
+    def fill_due(self, now: int) -> None:
         """Install every in-flight prefetch whose fill time has arrived."""
         inflight = self._inflight
-        filled = 0
         while inflight:
             line, (fill_seq, row) = next(iter(inflight.items()))
             if fill_seq > now:
@@ -179,8 +177,6 @@ class SetAssociativeCache:
             del inflight[line]
             self._install(line, row)
             row[2] += 1
-            filled += 1
-        return filled
 
     def _totals(self) -> list[int]:
         """The SOURCE_FIELDS counts summed over every source."""

@@ -22,7 +22,7 @@ from .harness import (
 )
 from .arsenal import ROSTERS, TEST_CASE_2
 from .metrics import FORMATS, emit_report, overhead, overhead_for_test_case
-from .traces import check_fields, write_trace
+from .traces import SEED_RANGE, check_fields, write_trace
 
 
 def _pattern_fields(text: str) -> dict:
@@ -107,7 +107,8 @@ _COMPARE_DEFAULTS = {"policy": TEST_CASE_2, "traces": [], "cache": None,
 
 def cmd_compare(args) -> int:
     data = _load_config(args, ("seed", "out", "format"))
-    check_fields("compare", data, _COMPARE_DEFAULTS, required=("traces",))
+    check_fields("compare", data, _COMPARE_DEFAULTS, required=("traces",),
+                 ranges=SEED_RANGE)
     out, fmt = _checked_sink(data)
     report = compare_engines(
         traces=data["traces"],

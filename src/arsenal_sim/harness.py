@@ -34,8 +34,9 @@ from .arsenal import (
 from .cache import SOURCE_FIELDS, CacheConfig, SetAssociativeCache, amat
 from .metrics import COMPARE_METRICS, FORMATS, compute_metrics, overhead_for_test_case
 from .prefetchers import PaeContext
-from .traces import (LENGTH_RANGE, AccessEvent, PatternSpec, check_address_range,
-                     check_fields, generate, reject_unknown, stream_trace_file)
+from .traces import (LENGTH_RANGE, SEED_RANGE, AccessEvent, PatternSpec,
+                     check_address_range, check_fields, generate, reject_unknown,
+                     stream_trace_file)
 
 ENGINE_NONE = "none"
 ARSENAL_PREFIX = "arsenal-"
@@ -147,7 +148,8 @@ def experiment_from_dict(data) -> ExperimentConfig:
 
     ``out`` and ``format`` are report-sink hints consumed by the CLI.
     """
-    check_fields("experiment", data, _EXPERIMENT_DEFAULTS, ranges=LENGTH_RANGE)
+    check_fields("experiment", data, _EXPERIMENT_DEFAULTS,
+                 ranges={**LENGTH_RANGE, **SEED_RANGE})
     fields = {key: value for key, value in data.items()
               if key not in ("out", "format")}
     if fields.get("pattern") is not None:
@@ -278,7 +280,7 @@ def compare_engines(traces: list[dict], policy: str = TEST_CASE_2,
     for index, trace in enumerate(traces):
         check_fields("compare trace", trace, _TRACE_DEFAULTS, ranges=LENGTH_RANGE)
         pattern = trace.get("pattern")
-        configs.append(ExperimentConfig(
+        cfg = ExperimentConfig(
             trace_file=trace.get("file"),
             pattern=None if pattern is None else PatternSpec.from_dict(pattern),
             length=trace.get("length", DEFAULT_LENGTH),
@@ -286,7 +288,10 @@ def compare_engines(traces: list[dict], policy: str = TEST_CASE_2,
             seed=seed,
             label=trace.get("label", f"trace-{index}"),
             **shared,
-        ))
+        )
+        if cfg.trace_file is not None and "length" in trace:  # a file is read whole
+            raise ValueError("compare trace field length has no effect beside file")
+        configs.append(cfg)
     for cfg in configs:  # so a missing file stops compare before any simulation
         if cfg.trace_file is not None:
             open(cfg.trace_file, encoding="utf-8").close()

@@ -44,7 +44,8 @@ class NextLinePrefetcher:
     def __init__(self, degree: int = 1, max_degree: int = 5,
                  degree_divisor: int = 512, max_line: int = DEFAULT_MAX_LINE):
         if degree > max_degree:
-            raise ValueError("degree must be <= max_degree")
+            raise ValueError("component_params.next_line field degree must be "
+                             f"<= max_degree, got {degree} > {max_degree}")
         self.degree = degree
         self.max_degree = max_degree
         self.degree_divisor = degree_divisor
@@ -173,14 +174,12 @@ class SppPrefetcher:
         # pt index -> [c_sig, slots, best]; slot = [delta, c_delta], and
         # best is the slot of highest _rank
         self.pattern_table: dict[int, list] = {}
-        # the last ghr_entries (signature, last_offset, delta), oldest first
-        self.ghr: deque[tuple] = deque(maxlen=ghr_entries)
+        # the last ghr_entries resume points (offset, signature), oldest
+        # first: where a path stepped off its page, and its next signature
+        self.ghr: deque[tuple[int, int]] = deque(maxlen=ghr_entries)
         # chain instrumentation, checked by the acceptance suite
         self.max_chain_depth = 0
         self.confidence_violations = 0
-
-    def _update_signature(self, sig: int, delta: int) -> int:
-        return ((sig << self.SIG_SHIFT) ^ _encode_delta(delta)) & self.SIG_MASK
 
     def _train(self, sig: int, delta: int) -> None:
         idx = sig % self.pt_entries
@@ -218,13 +217,9 @@ class SppPrefetcher:
             entry[2] = slot
 
     def _ghr_bootstrap(self, offset: int) -> int | None:
-        page_lines = self.page_lines
-        for sig, last_offset, delta in reversed(self.ghr):
-            target = last_offset + delta
-            if target >= page_lines and target - page_lines == offset:
-                return self._update_signature(sig, delta)
-            if target < 0 and target + page_lines == offset:
-                return self._update_signature(sig, delta)
+        for resume_offset, sig in reversed(self.ghr):
+            if resume_offset == offset:
+                return sig
         return None
 
     def on_pae(self, ctx: PaeContext) -> list[int]:
@@ -244,7 +239,7 @@ class SppPrefetcher:
             sig = entry[0]
             if delta != 0 and abs(delta) < page_lines:
                 self._train(sig, delta)
-                sig = self._update_signature(sig, delta)
+                sig = ((sig << self.SIG_SHIFT) ^ _encode_delta(delta)) & self.SIG_MASK
             entry[0] = sig
             entry[1] = offset
         return self._lookahead(sig, page, offset)
@@ -270,16 +265,17 @@ class SppPrefetcher:
             if confidence < threshold:
                 break
             nxt = offset + delta
+            # on_pae's signature update, with _encode_delta inlined
+            sig = ((sig << shift) ^ (0x40 | -delta if delta < 0 else delta)) & mask
             if nxt < 0 or nxt >= page_lines:
-                self.ghr.append((sig, offset, delta))
+                # |delta| < page_lines, so nxt lies on an adjacent page
+                self.ghr.append((nxt % page_lines, sig))
                 break
             cand = page_base + nxt
             if cand > self.max_line:
                 break
             out.append(cand)
             depth += 1
-            # _update_signature with _encode_delta, inlined
-            sig = ((sig << shift) ^ (0x40 | -delta if delta < 0 else delta)) & mask
             offset = nxt
         if depth > self.max_chain_depth:
             self.max_chain_depth = depth

@@ -63,7 +63,9 @@ def parse_trace(stream: Iterable[str]) -> Iterator[AccessEvent]:
 
 def stream_trace_file(path: str) -> Iterator[AccessEvent]:
     """Yield a trace file's events, reading it as they are consumed."""
-    with open(path, "r", encoding="utf-8") as fh:
+    # a byte that is not UTF-8 decodes to a lone surrogate, which no field
+    # check accepts, so parse_trace refuses its line by number
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         yield from parse_trace(fh)
 
 
@@ -133,6 +135,9 @@ def check_fields(what: str, data, defaults, required=(), ranges=None) -> None:
 
 # a long run is legitimate, so a length has no upper bound
 LENGTH_RANGE = {"length": (1, None)}
+# random.Random seeds from abs(seed), so a negative seed would draw its
+# positive twin's trace
+SEED_RANGE = {"seed": (0, None)}
 # caps a latency, count or line size far above real ones, so each AMAT and
 # overhead stays finite and a line shift fits the 64-bit address space
 INT_CAP = 2 ** 64
@@ -164,7 +169,8 @@ class PatternSpec:
     segments: list = field(default_factory=list)
     seed: int = 0
 
-    RANGES = {"pc_pool": (0, None), "write_fraction": (0, 1), "line_size": (1, None)}
+    RANGES = {"pc_pool": (0, None), "write_fraction": (0, 1), "line_size": (1, None),
+              **SEED_RANGE}
 
     def __post_init__(self):
         check_fields("pattern", vars(self), PatternSpec, ranges=self.RANGES)
@@ -190,6 +196,9 @@ class PatternSpec:
             spec = PatternSpec.from_dict(seg["spec"])
             if spec.kind == PHASED:
                 raise ValueError("phased segments must be flat patterns")
+            if spec.seed:  # each segment draws from the phased pattern's seed
+                raise ValueError("phased segments draw from the pattern's seed; "
+                                 f"a segment's seed must be 0, got {spec.seed!r}")
             self.flat_segments.append((spec, seg["length"]))
 
     def to_dict(self) -> dict:

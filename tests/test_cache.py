@@ -35,7 +35,7 @@ class TestAccessClassification:
         c = make_cache()
         out = c.access(ev(7, 0))
         assert out.kind == MISS
-        assert out.latency == 200
+        assert amat(c.demand_counts(), c.config) == 200
         assert out.is_pae
 
     def test_same_line_reaccess_hits(self):
@@ -43,7 +43,7 @@ class TestAccessClassification:
         c.access(ev(7, 0))
         out = c.access(ev(7, 1))
         assert out.kind == HIT
-        assert out.latency == 4
+        assert amat({"hits": 1}, c.config) == 4
         assert not out.is_pae
 
     def test_prefetch_then_demand_gives_one_prefetch_hit(self):
@@ -65,7 +65,7 @@ class TestAccessClassification:
         c.fill_due(10)  # not due yet (fill at 40)
         out = c.access(ev(9, 10))
         assert out.kind == LATE_PREFETCH_HIT
-        assert out.latency == 100
+        assert amat(c.demand_counts(), c.config) == 100
         assert out.is_pae
         assert c.in_flight_count == 0  # converted to a demand fill
         assert c.prefetch_counts()["late_converted"] == 1
@@ -113,8 +113,10 @@ class TestEnqueue:
         c = make_cache()
         assert c.enqueue_prefetch(12, "nl", 7)
         assert c.in_flight_count == 1
-        assert c.fill_due(46) == 0
-        assert c.fill_due(47) == 1
+        c.fill_due(46)
+        assert c.in_flight_count == 1
+        c.fill_due(47)
+        assert c.in_flight_count == 0
         assert c.is_resident(12)
         assert per_source(c, "filled") == {"nl": 1}
 
@@ -136,13 +138,16 @@ class TestEnqueue:
 class TestFillDue:
     def test_empty_queue(self):
         c = make_cache()
-        assert c.fill_due(10_000) == 0
+        assert c.fill_due(10_000) is None
+        assert c.prefetch_counts()["filled"] == 0
 
     def test_boundary_inclusive(self):
         c = make_cache()
         c.enqueue_prefetch(3, "nl", 0)
-        assert c.fill_due(39) == 0
-        assert c.fill_due(40) == 1
+        c.fill_due(39)
+        assert c.prefetch_counts()["filled"] == 0
+        c.fill_due(40)
+        assert c.prefetch_counts()["filled"] == 1
         assert c.is_resident(3)
         out = c.access(ev(3, 41))
         assert out.kind == PREFETCH_HIT
@@ -152,9 +157,12 @@ class TestFillDue:
         c.enqueue_prefetch(1, "nl", 0)
         c.enqueue_prefetch(2, "nl", 5)
         c.enqueue_prefetch(3, "nl", 50)
-        assert c.fill_due(45) == 2
+        c.fill_due(45)
+        assert c.prefetch_counts()["filled"] == 2
         assert c.in_flight_count == 1
-        assert c.fill_due(90) == 1
+        c.fill_due(90)
+        assert c.prefetch_counts()["filled"] == 3
+        assert c.in_flight_count == 0
         assert c.is_resident(3)
 
     def test_access_installs_the_fills_due_at_its_seq(self):

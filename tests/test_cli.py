@@ -36,10 +36,17 @@ def steps(monkeypatch):
 
 def run_config(tmp_path, verb, config):
     """Run ``verb`` on ``config``, written to a file, with its report sent
-    to another file; the exit code and the report's path."""
+    to another file; the exit code and the report's path. gen takes no
+    config file: it gets the config's pattern, length and seed as flags and
+    writes its trace where the report would go."""
+    out = tmp_path / "report.out"
+    if verb == "gen":
+        seed = ("--seed", str(config["seed"])) if "seed" in config else ()
+        return run_cli("gen", "--pattern", json.dumps(config["pattern"]),
+                       "--length", str(config["length"]), *seed,
+                       "--out", str(out)), out
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    out = tmp_path / "report.out"
     return run_cli(verb, "--config", str(path), "--out", str(out)), out
 
 
@@ -78,6 +85,7 @@ LATENCIES_BELOW_ZERO = {"hit_latency": -1, "late_latency": 0, "miss_latency": 0}
 # (verbs, top-level fields, trace fields, message). For run both sets of
 # fields go into the one experiment; for compare the first goes into the
 # config and the second into its only trace. A list is the whole config.
+# gen reads only the pattern, length and seed of run's experiment.
 MALFORMED = [
     (BOTH, [{"engine": "none"}], {}, "a configuration must be a JSON object"),
     (BOTH, {}, {"pattern": {"kind": "sequential", "start": "0"}},
@@ -290,6 +298,18 @@ MALFORMED = [
     (("compare",), {"policy": "tc1",
                     "component_params": {"tskid": {"degree": 1}}}, {},
      "unknown component_params.tskid fields: ['degree']"),
+    # a random draw seeds from a seed's magnitude: -5 would draw 5's trace
+    (("run", "gen"), {"seed": -5}, {}, "experiment field seed must be >= 0, got -5"),
+    (("compare",), {"seed": -5}, {}, "compare field seed must be >= 0, got -5"),
+    (("run", "compare", "gen"), {},
+     {"pattern": {"kind": "random_working_set", "seed": -5}},
+     "pattern field seed must be >= 0, got -5"),
+    # each phased segment draws from the phased pattern's seed
+    (("run", "compare", "gen"), {},
+     {"pattern": phased({"spec": {"kind": "stride", "seed": 5}, "length": 10})},
+     "a segment's seed must be 0, got 5"),
+    (BOTH, {"component_params": {"next_line": {"degree": 6, "max_degree": 5}}}, {},
+     "component_params.next_line field degree must be <= max_degree, got 6 > 5"),
 ]
 
 
@@ -297,7 +317,7 @@ def malformed_config(verb, top, trace):
     if isinstance(top, list):
         return top
     trace = {"pattern": SEQ, "length": 400, **trace}
-    if verb == "run":
+    if verb in ("run", "gen"):
         return {"engine": "arsenal-tc2", **trace, **top}
     return {"policy": "tc2", "traces": [trace], **top}
 
@@ -426,6 +446,8 @@ class TestGen:
         ("random_working_set:write_fraction=1.5", "write_fraction must be in [0, 1]"),
         ("random_working_set:write_fraction=nan",
          "pattern field write_fraction must be finite, got nan"),
+        # a shorthand value that is no number stays a string
+        ("sequential:pc_pool=abc", "pattern field pc_pool must be int, got 'abc'"),
     ])
     def test_bad_pattern_is_one_error_line_and_no_file(self, tmp_path, capsys,
                                                        pattern, message):
@@ -703,6 +725,14 @@ class TestCompare:
         assert calls == []
         assert not out.exists()
 
+    def test_file_trace_takes_no_length(self, tmp_path, capsys, steps):
+        trace = tmp_path / "t.trace"
+        run_cli("gen", "--pattern", "stride", "--length", "300", "--out", str(trace))
+        fails_before_running(tmp_path, capsys, steps, {"policy": "tc1", "traces": [
+            {"label": "seq", "pattern": SEQ, "length": 300},
+            {"label": "file", "file": str(trace), "length": 100}]}, "compare",
+            "compare trace field length has no effect beside file")
+
 
 @pytest.fixture
 def checks(monkeypatch):
@@ -777,6 +807,39 @@ class TestStreamedTraceError:
         assert len(err) == 1
         assert err[0].startswith("arsenal-sim: error: line 701: ")
         assert not out.exists()
+
+    @staticmethod
+    def fails_in_one_line(tmp_path, capsys, verb, trace, message):
+        """``verb`` on the trace file ``trace``: exit code 1, one error line
+        starting with ``message``, and no report."""
+        out = tmp_path / "report.json"
+        if verb == "run":
+            argv = ["run", "--trace", str(trace), "--engine", "arsenal-tc2"]
+        else:
+            cfg = tmp_path / "cmp.json"
+            cfg.write_text(json.dumps({"policy": "tc1", "traces": [
+                {"label": "file", "file": str(trace)}]}))
+            argv = ["compare", "--config", str(cfg)]
+        assert run_cli(*argv, "--out", str(out)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"arsenal-sim: error: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["run", "compare"])
+    def test_a_byte_not_utf8_is_refused_by_line_number(self, tmp_path, capsys,
+                                                       verb):
+        path = tmp_path / "bytes.trace"
+        path.write_bytes(b"# pc addr op\n0x400 0x40 R\n0x400 0x80\xff R\n")
+        self.fails_in_one_line(tmp_path, capsys, verb, path,
+                               "line 3: bad hex field in '0x400 0x80\\udcff R'")
+
+    @pytest.mark.parametrize("verb", ["run", "compare"])
+    def test_comments_only_is_no_trace(self, tmp_path, capsys, verb):
+        path = tmp_path / "comments.trace"
+        path.write_text("# pc addr op\n\n# nothing else\n")
+        self.fails_in_one_line(tmp_path, capsys, verb, path,
+                               "trace produced no accesses")
 
 
 class TestOverheadVerb:

@@ -16,7 +16,7 @@ from arsenal_sim.harness import (
     experiment_from_dict,
     run_experiment,
 )
-from arsenal_sim.traces import INT_CAP, LENGTH_RANGE, PatternSpec
+from arsenal_sim.traces import INT_CAP, LENGTH_RANGE, SEED_RANGE, PatternSpec
 
 README = pathlib.Path(__file__).parent.parent / "README.md"
 
@@ -304,6 +304,7 @@ def range_text(low, high, strict=False) -> str:
 
 def test_readme_range_table_is_the_codes():
     tables = {"top level, `compare` trace, phased segment": LENGTH_RANGE,
+              "top level": SEED_RANGE,
               "`cache`": CacheConfig.RANGES, "`pattern`": PatternSpec.RANGES,
               "`arsenal`": ArsenalConfig.RANGES,
               **{f"`{name}`": c.cls.RANGES for name, c in COMPONENTS.items()}}

@@ -154,6 +154,25 @@ class TestSpp:
         assert out == [base - 2, base - 3, base - 4, base - 5,
                        base - 6, base - 7, base - 8, base - 9]
 
+    @pytest.mark.parametrize("direction,expected", [
+        (1, [2, 3, 5, 6, 8, 9, 11, 12]), (-1, [-2, -3, -5, -6, -8, -9, -11, -12])])
+    def test_ghr_resumes_a_zigzag_in_phase(self, direction, expected):
+        # deltas alternate 1, 2 from one page end to the other, so the path
+        # steps off with a 1 and resumes with a 2. Its signature changes at
+        # every step (a steady stride's settles on a fixed point), so only
+        # the signature after the step off resumes in phase; signature 0, as
+        # on a page with no resume point, resumes with a 1
+        spp = SppPrefetcher()
+        base = 64 * 10
+        off, i = (0 if direction > 0 else 63), 0
+        while 0 <= off < 64:
+            spp.on_pae(ctx(base + off, i))
+            off += direction * (1 if i % 2 == 0 else 2)
+            i += 1
+        first = base + off  # offset 0 of the next page, or 63 of the one before
+        assert off == (64 if direction > 0 else -1)
+        assert spp.on_pae(ctx(first, i)) == [first + d for d in expected]
+
     def test_interleaved_deltas_converge_to_zigzag_chain(self):
         # offsets 1,2,4,5,7,8,...: deltas alternate +1,+2; signatures settle
         # into the 2-cycle (1105, 650) whose entries each hold one delta at
