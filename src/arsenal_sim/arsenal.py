@@ -100,7 +100,8 @@ class ArsenalConfig:
 
 def select_test_case_1(scores: dict, prefetch_counters: dict,
                        previous: Optional[str],
-                       attempt_threshold: int = 10000) -> Optional[str]:
+                       attempt_threshold: int = ArsenalConfig.tskid_selection_attempt
+                       ) -> Optional[str]:
     """Two-component rule (tskid vs mlop), clauses applied in order."""
     if scores[TSKID] > scores[MLOP] or prefetch_counters[TSKID] > attempt_threshold:
         return TSKID
@@ -109,24 +110,21 @@ def select_test_case_1(scores: dict, prefetch_counters: dict,
     return previous
 
 
-def select_test_case_2(scores: dict, min_score: int = 0,
-                       next_line_min_score: int = 1500) -> Optional[str]:
+def select_test_case_2(scores: dict, min_score: int = ArsenalConfig.min_score,
+                       next_line_min_score: int = ArsenalConfig.next_line_min_score
+                       ) -> Optional[str]:
     """Three-component rule (spp vs ip_stride vs next_line).
 
-    spp/ip_stride win whenever their best score at least matches next-line's
-    and clears min_score; next-line needs to be strictly on top and above
-    its own, much higher threshold. Ties between spp and ip_stride go to spp.
+    next-line wins when it is strictly above the better of spp and
+    ip_stride and above its own, much higher threshold; otherwise that
+    better one (a tie goes to spp) wins if it clears min_score.
     """
     spp, ip, nl = scores[SPP], scores[IP_STRIDE], scores[NEXT_LINE]
-    best_si = max(spp, ip)
-    si_pick = SPP if spp >= ip else IP_STRIDE
-    if best_si >= nl and best_si > min_score:
-        return si_pick
-    if nl > best_si:
-        if nl > next_line_min_score:
-            return NEXT_LINE
-        if best_si > min_score:
-            return si_pick
+    best = max(spp, ip)
+    if nl > best and nl > next_line_min_score:
+        return NEXT_LINE
+    if best > min_score:
+        return SPP if spp >= ip else IP_STRIDE
     return None
 
 

@@ -101,7 +101,7 @@ class BloomFilter:
                  "_seed_a", "_seed_b", "_set_bits", "members", "_queued",
                  "_positions", "_previous")
 
-    def __init__(self, capacity: int = 2000, fpp: float = 0.01, seed: int = 0):
+    def __init__(self, capacity: int, fpp: float, seed: int = 0):
         self.params = params = BloomParams.create(capacity, fpp, seed)
         self._m = params.bit_table_size
         self._k = params.hash_count
@@ -125,15 +125,8 @@ class BloomFilter:
         return table
 
     def _hash(self, element: int) -> tuple[int, ...]:
-        # _mix64 of element ^ seed_a and of element ^ seed_b, inlined
-        x = (element ^ self._seed_a) & _MASK64
-        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-        h1 = x ^ (x >> 31)
-        x = (element ^ self._seed_b) & _MASK64
-        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-        h2 = (x ^ (x >> 31)) | 1
+        h1 = _mix64(element ^ self._seed_a)
+        h2 = _mix64(element ^ self._seed_b) | 1
         # (h1 + i*h2) mod m over small ints: h1 and h2 reduced first, and a
         # step of m where h2 % m == 0; the positions are the same
         m = self._m

@@ -20,7 +20,7 @@ from .harness import (
     experiment_from_dict,
     run_experiment,
 )
-from .arsenal import ROSTERS, TEST_CASE_2
+from .arsenal import ROSTERS, TEST_CASE_2, ArsenalConfig
 from .metrics import FORMATS, emit_report, overhead, overhead_for_test_case
 from .traces import SEED_RANGE, check_fields, write_trace
 
@@ -89,6 +89,8 @@ def cmd_run(args) -> int:
     if args.trace:
         data["trace_file"] = args.trace
         data.pop("pattern", None)
+        if args.length is None:  # the pattern's length goes with it
+            data.pop("length", None)
     if args.pattern:
         data["pattern"] = _pattern_fields(args.pattern)
         data.pop("trace_file", None)
@@ -112,10 +114,9 @@ def cmd_compare(args) -> int:
     out, fmt = _checked_sink(data)
     report = compare_engines(
         traces=data["traces"],
-        policy=data.get("policy", TEST_CASE_2),
         cache=cache_config_from_dict(data.get("cache", {})),
-        seed=data.get("seed", 0),
-        **{key: data[key] for key in ("arsenal", "component_params") if key in data},
+        **{key: data[key] for key in ("policy", "seed", "arsenal", "component_params")
+           if key in data},
     )
     _emit(report, fmt, out)
     return 0
@@ -168,8 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="use a predefined component roster and its costs")
     ovh.add_argument("--components", type=int, default=1,
                      help="component count when no test case is given")
-    ovh.add_argument("--capacity", type=int, default=2000)
-    ovh.add_argument("--fpp", type=float, default=0.01)
+    ovh.add_argument("--capacity", type=int, default=ArsenalConfig.bf_est_cap)
+    ovh.add_argument("--fpp", type=float, default=ArsenalConfig.bf_fpp)
     ovh.add_argument("--out")
     ovh.set_defaults(func=cmd_overhead)
 

@@ -92,11 +92,12 @@ class ExperimentConfig:
     """One experiment: a trace source, a cache, and exactly one engine. Each
     part is checked once, when built: the cache and pattern before this, and
     ``arsenal`` here, into ``arsenal_config`` (seeded from ``seed`` unless
-    ``arsenal`` sets ``master_seed``)."""
+    ``arsenal`` sets ``master_seed``). A pattern runs ``length`` events,
+    DEFAULT_LENGTH if None; a trace file is read whole and takes none."""
     engine: str = ENGINE_NONE
     trace_file: Optional[str] = None
     pattern: Optional[PatternSpec] = None
-    length: int = DEFAULT_LENGTH
+    length: Optional[int] = None
     cache: CacheConfig = field(default_factory=CacheConfig)
     arsenal: dict = field(default_factory=dict)
     component_params: dict = field(default_factory=dict)
@@ -106,6 +107,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if (self.trace_file is None) == (self.pattern is None):
             raise ValueError("exactly one of trace_file or pattern is required")
+        if self.trace_file is not None and self.length is not None:
+            raise ValueError("length has no effect beside a trace file, "
+                             "which is read whole")
+        if self.pattern is not None and self.length is None:
+            self.length = DEFAULT_LENGTH
         if self.engine not in ENGINE_NAMES:
             raise ValueError(f"unknown engine: {self.engine!r} "
                              f"(expected one of {', '.join(ENGINE_NAMES)})")
@@ -117,11 +123,10 @@ class ExperimentConfig:
         _check_component_params(self.component_params)
 
     def events(self) -> Iterable[AccessEvent]:
-        """One pass over the trace; a trace file is read as it is consumed.
-        A pattern's own nonzero seed wins over the experiment's."""
+        """One pass over the trace; a trace file is read as it is consumed."""
         if self.trace_file is not None:
             return stream_trace_file(self.trace_file)
-        return generate(self.pattern, self.length, self.pattern.seed or self.seed)
+        return generate(self.pattern, self.length, self.seed)
 
     def trace_summary(self) -> dict:
         if self.trace_file is not None:
@@ -280,18 +285,15 @@ def compare_engines(traces: list[dict], policy: str = TEST_CASE_2,
     for index, trace in enumerate(traces):
         check_fields("compare trace", trace, _TRACE_DEFAULTS, ranges=LENGTH_RANGE)
         pattern = trace.get("pattern")
-        cfg = ExperimentConfig(
+        configs.append(ExperimentConfig(
             trace_file=trace.get("file"),
             pattern=None if pattern is None else PatternSpec.from_dict(pattern),
-            length=trace.get("length", DEFAULT_LENGTH),
+            length=trace.get("length"),
             cache=cache,
             seed=seed,
             label=trace.get("label", f"trace-{index}"),
             **shared,
-        )
-        if cfg.trace_file is not None and "length" in trace:  # a file is read whole
-            raise ValueError("compare trace field length has no effect beside file")
-        configs.append(cfg)
+        ))
     for cfg in configs:  # so a missing file stops compare before any simulation
         if cfg.trace_file is not None:
             open(cfg.trace_file, encoding="utf-8").close()

@@ -5,16 +5,16 @@ import io
 import json
 import math
 
-from .arsenal import COMPONENTS, PREFETCH_COUNTER_MAX, SCORE_MAX, roster
+from .arsenal import COMPONENTS, PREFETCH_COUNTER_MAX, SCORE_MAX, ArsenalConfig, roster
 from .bloom import BloomParams
 from .cache import CacheConfig, amat
 from .traces import INT_CAP, check_fields
 
-# per-component framework counter widths (bits). The evaluation counter is
-# charged 9 bits although the default eval_cnt is 512: the 9-bit counter's
-# carry-out on the 512th PAE fires the decision, so 512 is never stored.
+# per-component framework counter widths (bits). The evaluation counter
+# holds at most eval_cnt - 1 (9 bits at the default 512): its carry-out on
+# the eval_cnt-th PAE fires the decision, so eval_cnt is never stored.
 # The selection timeline's eval_counters show the saturated count instead.
-EVAL_COUNTER_BITS = 9
+EVAL_COUNTER_BITS = (ArsenalConfig.eval_cnt - 1).bit_length()
 PREFETCH_COUNTER_BITS = PREFETCH_COUNTER_MAX.bit_length()
 SCORE_BITS = SCORE_MAX.bit_length()
 
@@ -67,8 +67,8 @@ def compute_metrics(demand: dict, prefetch: dict, config: CacheConfig,
     }
 
 
-def overhead(n_components: int, bloom_capacity: int = 2000,
-             bloom_fpp: float = 0.01,
+def overhead(n_components: int, bloom_capacity: int = ArsenalConfig.bf_est_cap,
+             bloom_fpp: float = ArsenalConfig.bf_fpp,
              component_costs_kb: dict | None = None) -> dict:
     """Hardware budget: framework cost per component plus component storage.
 
@@ -134,8 +134,9 @@ def overhead(n_components: int, bloom_capacity: int = 2000,
     }
 
 
-def overhead_for_test_case(policy: str, bloom_capacity: int = 2000,
-                           bloom_fpp: float = 0.01) -> dict:
+def overhead_for_test_case(policy: str,
+                           bloom_capacity: int = ArsenalConfig.bf_est_cap,
+                           bloom_fpp: float = ArsenalConfig.bf_fpp) -> dict:
     costs = {name: COMPONENTS[name].cost_kb for name in roster(policy)}
     report = overhead(len(costs), bloom_capacity, bloom_fpp, costs)
     report["policy"] = policy

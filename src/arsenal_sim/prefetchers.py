@@ -268,8 +268,11 @@ class SppPrefetcher:
             # on_pae's signature update, with _encode_delta inlined
             sig = ((sig << shift) ^ (0x40 | -delta if delta < 0 else delta)) & mask
             if nxt < 0 or nxt >= page_lines:
-                # |delta| < page_lines, so nxt lies on an adjacent page
-                self.ghr.append((nxt % page_lines, sig))
+                # |delta| < page_lines, so nxt lies on an adjacent page;
+                # a repeat of the newest point would push out older ones
+                point = (nxt % page_lines, sig)
+                if not self.ghr or self.ghr[-1] != point:
+                    self.ghr.append(point)
                 break
             cand = page_base + nxt
             if cand > self.max_line:

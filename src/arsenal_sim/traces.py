@@ -319,12 +319,10 @@ def check_address_range(spec: PatternSpec, length: int) -> None:
                                      f"{value:#x}, outside [0, 2**64)")
 
 
-def generate(spec: PatternSpec, length: int,
-             seed: int | None = None) -> Iterator[AccessEvent]:
+def generate(spec: PatternSpec, length: int, seed: int = 0) -> Iterator[AccessEvent]:
     """Deterministically generate ``length`` events for a pattern spec, from
-    ``seed`` where one is given, else from the spec's own."""
-    seed = spec.seed if seed is None else seed
-    for flat, rng_seed, seq, seg_len in _phases(spec, length, seed):
+    the spec's own seed where it is nonzero, else from ``seed``."""
+    for flat, rng_seed, seq, seg_len in _phases(spec, length, spec.seed or seed):
         yield from _generate_flat(flat, seg_len, seq, random.Random(rng_seed))
 
 

@@ -310,6 +310,9 @@ MALFORMED = [
      "a segment's seed must be 0, got 5"),
     (BOTH, {"component_params": {"next_line": {"degree": 6, "max_degree": 5}}}, {},
      "component_params.next_line field degree must be <= max_degree, got 6 > 5"),
+    # a trace file is read whole
+    (("run",), {}, {"pattern": None, "trace_file": "t.trace", "length": 5},
+     "length has no effect beside a trace file"),
 ]
 
 
@@ -668,6 +671,18 @@ class TestRun:
                            "--out", str(out)) == 0
             assert json.loads(out.read_text())["demand"]["total"] == total
 
+    def test_trace_flag_takes_no_length_flag(self, tmp_path, capsys, steps):
+        # --trace drops the length of the pattern it replaces, not --length's
+        trace = tmp_path / "t.trace"
+        run_cli("gen", "--pattern", "stride", "--length", "100", "--out", str(trace))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"pattern": SEQ, "length": 50}))
+        out = tmp_path / "report.json"
+        assert run_cli("run", "--config", str(config), "--trace", str(trace),
+                       "--length", "50", "--out", str(out)) == 1
+        failed_before_running(capsys, steps, out,
+                              "length has no effect beside a trace file")
+
 
 class TestCompare:
     @pytest.fixture
@@ -731,7 +746,7 @@ class TestCompare:
         fails_before_running(tmp_path, capsys, steps, {"policy": "tc1", "traces": [
             {"label": "seq", "pattern": SEQ, "length": 300},
             {"label": "file", "file": str(trace), "length": 100}]}, "compare",
-            "compare trace field length has no effect beside file")
+            "length has no effect beside a trace file")
 
 
 @pytest.fixture

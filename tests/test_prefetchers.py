@@ -173,6 +173,29 @@ class TestSpp:
         assert off == (64 if direction > 0 else -1)
         assert spp.on_pae(ctx(first, i)) == [first + d for d in expected]
 
+    @pytest.mark.parametrize("direction,point", [(1, (0, 1105)), (-1, (63, 1553))])
+    def test_ghr_keeps_one_copy_of_a_repeated_resume_point(self, direction, point):
+        # the zigzag above: every lookahead near the page end steps off at
+        # the same point, and a copy per lookahead would push every other
+        # point out of the GHR
+        spp = SppPrefetcher()
+        off, i = (0 if direction > 0 else 63), 0
+        while 0 <= off < 64:
+            spp.on_pae(ctx(64 * 10 + off, i))
+            off += direction * (1 if i % 2 == 0 else 2)
+            i += 1
+        assert list(spp.ghr).count(point) == 1
+        assert len(set(spp.ghr)) == len(spp.ghr)
+
+    def test_lookahead_stops_at_max_line(self):
+        # a unit stride trained on the page that holds max_line: the chain
+        # would run to offset 23, but no candidate passes the last line
+        top = 64 * 10 + 20
+        spp = SppPrefetcher(max_line=top)
+        outs = [spp.on_pae(ctx(64 * 10 + off, off)) for off in range(16)]
+        assert outs[-1] == list(range(64 * 10 + 16, top + 1))
+        assert max(c for out in outs for c in out) == top
+
     def test_interleaved_deltas_converge_to_zigzag_chain(self):
         # offsets 1,2,4,5,7,8,...: deltas alternate +1,+2; signatures settle
         # into the 2-cycle (1105, 650) whose entries each hold one delta at

@@ -110,6 +110,12 @@ class TestGenerate:
         b = PatternSpec(kind="random_working_set", working_set_lines=512, seed=8)
         assert list(generate(a, 200)) != list(generate(b, 200))
 
+    def test_own_seed_wins_over_the_given_one(self):
+        spec = PatternSpec(kind="random_working_set", working_set_lines=512, seed=5)
+        assert list(generate(spec, 200, 9)) == list(generate(spec, 200))
+        unseeded = PatternSpec(kind="random_working_set", working_set_lines=512)
+        assert list(generate(unseeded, 200, 5)) == list(generate(spec, 200))
+
     def test_pc_delta_round_robin(self):
         streams = [{"pc": 0x10, "start": 0, "delta": 64},
                    {"pc": 0x20, "start": 0x10000, "delta": 128}]
