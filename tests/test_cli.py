@@ -918,3 +918,23 @@ class TestPatternArg:
         with pytest.raises(SystemExit) as err:
             run_cli()
         assert err.value.code == 2
+
+
+class TestDeeplyNestedJson:
+    # written out as text: json.dumps would itself recurse on such a value
+    NESTED = "[" * 100_000
+
+    @pytest.mark.parametrize("verb", BOTH)
+    def test_config_file(self, tmp_path, capsys, steps, verb):
+        path = tmp_path / "config.json"
+        path.write_text(self.NESTED)
+        out = tmp_path / "report.out"
+        assert run_cli(verb, "--config", str(path), "--out", str(out)) == 1
+        failed_before_running(capsys, steps, out, "JSON nested too deeply")
+
+    @pytest.mark.parametrize("verb", ("run", "gen"))
+    def test_inline_pattern(self, tmp_path, capsys, steps, verb):
+        out = tmp_path / "report.out"
+        assert run_cli(verb, "--pattern", '{"kind": ' + self.NESTED,
+                       "--length", "5", "--out", str(out)) == 1
+        failed_before_running(capsys, steps, out, "JSON nested too deeply")

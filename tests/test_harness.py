@@ -1,5 +1,7 @@
+import inspect
 import json
 import pathlib
+from dataclasses import asdict
 
 import pytest
 
@@ -7,6 +9,7 @@ from arsenal_sim import arsenal, harness
 from arsenal_sim.arsenal import COMPONENTS, ArsenalConfig
 from arsenal_sim.cache import CacheConfig
 from arsenal_sim.harness import (
+    DEFAULT_LENGTH,
     ENGINE_NAMES,
     ExperimentConfig,
     NoPrefetchEngine,
@@ -16,6 +19,7 @@ from arsenal_sim.harness import (
     experiment_from_dict,
     run_experiment,
 )
+from arsenal_sim.prefetchers import NextLinePrefetcher
 from arsenal_sim.traces import INT_CAP, LENGTH_RANGE, SEED_RANGE, PatternSpec
 
 README = pathlib.Path(__file__).parent.parent / "README.md"
@@ -274,6 +278,11 @@ class TestExperimentFromDict:
                                     "out": "r.json", "format": "json"})
         assert cfg.length == 10
 
+    def test_pattern_without_length_runs_the_default(self):
+        cfg = experiment_from_dict({"pattern": {"kind": "sequential"}})
+        assert cfg.length == DEFAULT_LENGTH
+        assert cfg.trace_summary()["length"] == DEFAULT_LENGTH
+
 
 def documented_ranges() -> dict:
     """README.md's range table, (object, field) -> range, as it reads: the
@@ -311,3 +320,17 @@ def test_readme_range_table_is_the_codes():
     declared = {(obj, key): range_text(*bounds)
                 for obj, table in tables.items() for key, bounds in table.items()}
     assert documented_ranges() == declared
+
+
+def test_readme_config_example_shows_the_defaults():
+    # the example's cache, arsenal and component_params objects are the
+    # code's defaults; its top-level values are only an example
+    text = README.read_text(encoding="utf-8")
+    example = text.split("`run --config` takes", 1)[1]
+    example = example.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = experiment_from_dict(json.loads(example))
+    assert asdict(cfg.cache) == asdict(CacheConfig())
+    assert cfg.arsenal_config == ArsenalConfig(
+        master_seed=cfg.seed or ArsenalConfig.master_seed)
+    max_degree = inspect.signature(NextLinePrefetcher).parameters["max_degree"]
+    assert cfg.component_params == {"next_line": {"max_degree": max_degree.default}}

@@ -2,6 +2,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arsenal_sim.prefetchers import (
     DEFAULT_MAX_LINE,
@@ -127,8 +129,6 @@ class TestSpp:
         assert spp.on_pae(ctx(4)) == []
         assert spp.on_pae(ctx(5)) == [6, 7, 8, 9, 10, 11, 12, 13]
         assert spp.on_pae(ctx(6)) == [7, 8, 9, 10, 11, 12, 13, 14]
-        assert spp.max_chain_depth == 8
-        assert spp.confidence_violations == 0
 
     def test_chain_stops_at_page_boundary_and_ghr_resumes(self):
         spp = SppPrefetcher()
@@ -210,8 +210,6 @@ class TestSpp:
         last = outs[-1]
         trigger = offs[-1]
         assert last == [trigger + d for d in (2, 3, 5, 6, 8, 9, 11, 12)]
-        assert spp.max_chain_depth == 8
-        assert spp.confidence_violations == 0
 
     def test_chain_depth_never_exceeds_cap(self):
         rng = random.Random(21)
@@ -220,8 +218,6 @@ class TestSpp:
             line = rng.randrange(0, 64 * 32)
             out = spp.on_pae(ctx(line, seq))
             assert len(out) <= spp.lookahead_depth
-        assert spp.max_chain_depth <= 8
-        assert spp.confidence_violations == 0
 
     def test_delta_counter_never_exceeds_signature_counter(self):
         rng = random.Random(22)
@@ -248,6 +244,39 @@ class TestSpp:
         assert _encode_delta(63) == 63
         assert _encode_delta(-1) == 0x41
         assert _encode_delta(-63) == 0x7F
+
+
+@settings(max_examples=60, deadline=None)
+@given(pt_entries=st.integers(1, 16), pt_slots=st.integers(1, 4),
+       counter_max=st.integers(1, 15), lookahead_depth=st.integers(1, 8),
+       page_lines=st.integers(1, 16),
+       confidence_threshold=st.one_of(st.sampled_from([-1.0, 0.0, 1.0]),
+                                      st.floats(-1.0, 1.0)),
+       start=st.integers(0, 255),
+       runs=st.lists(st.tuples(st.integers(-4, 4), st.integers(1, 16)),
+                     min_size=1, max_size=30))
+def test_spp_counts_bound_each_path(pt_entries, pt_slots, counter_max,
+                                    lookahead_depth, page_lines,
+                                    confidence_threshold, start, runs):
+    # every slot count stays at or below its entry's count, so each step's
+    # c_delta / c_sig is at most 1 and a path's confidence never rises; a
+    # threshold <= 0 leaves the depth cap and the page edge to end a path
+    spp = SppPrefetcher(pt_entries=pt_entries, pt_slots=pt_slots,
+                        counter_max=counter_max, lookahead_depth=lookahead_depth,
+                        page_lines=page_lines,
+                        confidence_threshold=confidence_threshold)
+    # runs of one small step repeat a delta within a page, so entries train
+    # past counter_max and halve
+    steps = [step for step, count in runs for _ in range(count)]
+    line = start
+    for seq, step in enumerate(steps):
+        line = (line + step) % 256
+        out = spp.on_pae(ctx(line, seq))
+        for c_sig, slots, _ in spp.pattern_table.values():
+            assert 1 <= c_sig <= counter_max
+            assert all(c_delta <= c_sig for _, c_delta in slots)
+        assert len(out) <= lookahead_depth
+        assert all(c // page_lines == line // page_lines for c in out)
 
 
 class TestMlop:
