@@ -53,20 +53,6 @@ COMPONENTS = {
     TSKID: Component(TskidPrefetcher, 52.5),
 }
 
-# policy -> roster; roster order fixes each component's filter seed index
-ROSTERS = {
-    TEST_CASE_1: (TSKID, MLOP),
-    TEST_CASE_2: (SPP, IP_STRIDE, NEXT_LINE),
-}
-
-
-def roster(policy: str) -> tuple:
-    """The components a selection policy (a ROSTERS key) runs, in order."""
-    if policy not in ROSTERS:
-        raise ValueError(f"unknown selection policy: {policy!r}")
-    return ROSTERS[policy]
-
-
 SCORE_MAX = 2047        # 11-bit saturating score
 PREFETCH_COUNTER_MAX = 4095  # 12-bit saturating attempt counter
 
@@ -98,34 +84,48 @@ class ArsenalConfig:
         derive_parameters(self.bf_est_cap, self.bf_fpp)
 
 
-def select_test_case_1(scores: dict, prefetch_counters: dict,
-                       previous: Optional[str],
-                       attempt_threshold: int = ArsenalConfig.tskid_selection_attempt
-                       ) -> Optional[str]:
+def select_test_case_1(scores: dict, counters: dict, previous: Optional[str],
+                       cfg: ArsenalConfig = ArsenalConfig()) -> Optional[str]:
     """Two-component rule (tskid vs mlop), clauses applied in order."""
-    if scores[TSKID] > scores[MLOP] or prefetch_counters[TSKID] > attempt_threshold:
+    if scores[TSKID] > scores[MLOP] or counters[TSKID] > cfg.tskid_selection_attempt:
         return TSKID
-    if scores[MLOP] > scores[TSKID] or prefetch_counters[MLOP] == prefetch_counters[TSKID]:
+    if scores[MLOP] > scores[TSKID] or counters[MLOP] == counters[TSKID]:
         return MLOP
     return previous
 
 
-def select_test_case_2(scores: dict, min_score: int = ArsenalConfig.min_score,
-                       next_line_min_score: int = ArsenalConfig.next_line_min_score
-                       ) -> Optional[str]:
+def select_test_case_2(scores: dict, counters: Optional[dict] = None,
+                       previous: Optional[str] = None,
+                       cfg: ArsenalConfig = ArsenalConfig()) -> Optional[str]:
     """Three-component rule (spp vs ip_stride vs next_line).
 
     next-line wins when it is strictly above the better of spp and
     ip_stride and above its own, much higher threshold; otherwise that
-    better one (a tie goes to spp) wins if it clears min_score.
+    better one (a tie goes to spp) wins if it clears min_score. It reads
+    no counters and no previous choice.
     """
     spp, ip, nl = scores[SPP], scores[IP_STRIDE], scores[NEXT_LINE]
     best = max(spp, ip)
-    if nl > best and nl > next_line_min_score:
+    if nl > best and nl > cfg.next_line_min_score:
         return NEXT_LINE
-    if best > min_score:
+    if best > cfg.min_score:
         return SPP if spp >= ip else IP_STRIDE
     return None
+
+
+# policy -> (roster, rule); roster order fixes each component's filter seed
+# index, and each phase ends in rule(scores, counters, previous, cfg)
+POLICIES = {
+    TEST_CASE_1: ((TSKID, MLOP), select_test_case_1),
+    TEST_CASE_2: ((SPP, IP_STRIDE, NEXT_LINE), select_test_case_2),
+}
+
+
+def roster(policy: str) -> tuple:
+    """The components a selection policy (a POLICIES key) runs, in order."""
+    if policy not in POLICIES:
+        raise ValueError(f"unknown selection policy: {policy!r}")
+    return POLICIES[policy][0]
 
 
 def build_component(name: str, params: dict, max_line: int = DEFAULT_MAX_LINE,
@@ -149,7 +149,8 @@ def build_components(policy: str, component_params: dict | None = None,
 
 class Arsenal:
     """The framework: components, per-component filters, scoreboard, phases.
-    ``policy`` (a ROSTERS key) picks the roster and its selection rule."""
+    ``policy`` (a POLICIES key) picks the roster and the selection rule,
+    which reads its thresholds from ``config``."""
 
     def __init__(self, policy: str, config: ArsenalConfig | None = None,
                  component_params: dict | None = None,
@@ -158,6 +159,7 @@ class Arsenal:
         self.config = config or ArsenalConfig()
         self.components = components = build_components(
             policy, component_params, max_line)
+        self._rule = POLICIES[policy][1]
         self.names = list(components.keys())
         self.filters = {
             name: make_filter(self.config.filter_kind, self.config.bf_est_cap,
@@ -214,15 +216,9 @@ class Arsenal:
         return selected, live
 
     def _decide(self, decided_at: int) -> None:
-        cfg = self.config
         scores = self.scores()
         counters = {name: sb[0] for name, _, _, sb in self._rows}
-        if self.policy == TEST_CASE_1:
-            chosen = select_test_case_1(scores, counters, self.chosen,
-                                        cfg.tskid_selection_attempt)
-        else:
-            chosen = select_test_case_2(scores, cfg.min_score,
-                                        cfg.next_line_min_score)
+        chosen = self._rule(scores, counters, self.chosen, self.config)
         self.selection_timeline.append({
             "phase_index": len(self.selection_timeline) + 1,
             "decided_at": decided_at,

@@ -20,7 +20,7 @@ from .harness import (
     experiment_from_dict,
     run_experiment,
 )
-from .arsenal import ROSTERS, TEST_CASE_2, ArsenalConfig
+from .arsenal import POLICIES, TEST_CASE_2, ArsenalConfig
 from .metrics import FORMATS, emit_report, overhead, overhead_for_test_case
 from .traces import SEED_RANGE, check_fields, write_trace
 
@@ -173,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.set_defaults(func=cmd_compare)
 
     ovh = sub.add_parser("overhead", help="print hardware-overhead accounting")
-    ovh.add_argument("--test-case", choices=tuple(ROSTERS),
+    ovh.add_argument("--test-case", choices=tuple(POLICIES),
                      help="use a predefined component roster and its costs")
     ovh.add_argument("--components", type=int, default=1,
                      help="component count when no test case is given")

@@ -24,7 +24,7 @@ from typing import Iterable, Optional
 
 from .arsenal import (
     COMPONENTS,
-    ROSTERS,
+    POLICIES,
     TEST_CASE_2,
     Arsenal,
     ArsenalConfig,
@@ -42,7 +42,7 @@ ENGINE_NONE = "none"
 ARSENAL_PREFIX = "arsenal-"
 
 # a standalone engine is named after its component: ip_stride -> ip-stride
-ENGINE_NAMES = (*(ARSENAL_PREFIX + policy for policy in ROSTERS),
+ENGINE_NAMES = (*(ARSENAL_PREFIX + policy for policy in POLICIES),
                 *(name.replace("_", "-") for name in COMPONENTS), ENGINE_NONE)
 
 DEFAULT_LENGTH = 1_000_000  # thousands of selection phases at desk scale

@@ -8,6 +8,7 @@ from arsenal_sim.arsenal import (
     IP_STRIDE,
     MLOP,
     NEXT_LINE,
+    POLICIES,
     PREFETCH_COUNTER_MAX,
     SCORE_MAX,
     SPP,
@@ -18,9 +19,10 @@ from arsenal_sim.arsenal import (
     select_test_case_1,
     select_test_case_2,
 )
+from arsenal_sim.cache import CacheConfig
 from arsenal_sim.harness import Simulation
 from arsenal_sim.prefetchers import PaeContext
-from arsenal_sim.traces import generate
+from arsenal_sim.traces import PatternSpec, generate
 from pae_recorder import record_paes
 from random_configs import caches, patterns, score_steps
 
@@ -123,6 +125,59 @@ class TestSelectTestCase2:
     def test_equal_scores_prefer_spp_over_next_line(self):
         # rule (a): best of spp/ip >= next-line counts as a win for spp/ip
         assert select_test_case_2({SPP: 50, IP_STRIDE: 10, NEXT_LINE: 50}) == SPP
+
+
+# pc_delta, sequential and random working-set phases of 4000 events each
+PHASES = PatternSpec.from_dict({"kind": "phased", "seed": 26, "segments": [
+    {"spec": {"kind": "pc_delta", "streams": [
+        {"pc": 0x400, "start": 0, "delta": 128},
+        {"pc": 0x408, "start": 1 << 20, "delta": 192}]}, "length": 4000},
+    {"spec": {"kind": "sequential", "start": 1 << 24}, "length": 4000},
+    {"spec": {"kind": "random_working_set", "working_set_lines": 4096},
+     "length": 4000}]})
+
+
+def run_phases(policy, **kw):
+    a = Arsenal(policy, ArsenalConfig(**kw))
+    Simulation(CacheConfig(), a).run(generate(PHASES, 12_000))
+    return a
+
+
+def replay(arsenal, cfg):
+    """Each phase's decision, recomputed by the policy's rule under ``cfg``
+    from the phase's recorded scores and counters and the choice before it."""
+    rule = POLICIES[arsenal.policy][1]
+    decisions, previous = [], None
+    for entry in arsenal.selection_timeline:
+        decisions.append(rule(entry["scores"], entry["prefetch_counters"],
+                              previous, cfg))
+        previous = entry["chosen"]
+    return decisions
+
+
+class TestConfiguredThresholds:
+    @pytest.mark.parametrize("policy,thresholds", [
+        ("tc2", {"next_line_min_score": 0}),
+        ("tc2", {"min_score": 200}),
+        ("tc1", {"tskid_selection_attempt": 8}),
+    ])
+    def test_decisions_read_the_configured_thresholds(self, policy, thresholds):
+        a = run_phases(policy, eval_cnt=64, **thresholds)
+        chosen = [entry["chosen"] for entry in a.selection_timeline]
+        assert replay(a, a.config) == chosen
+        # the published thresholds decide some phase otherwise, so a sandbox
+        # that dropped the run's thresholds would fail the line above
+        assert replay(a, ArsenalConfig()) != chosen
+
+    def test_attempt_clause_cannot_fire_at_the_published_point(self):
+        # tc1 picks tskid when its counter exceeds tskid_selection_attempt,
+        # but the counter saturates at 12 bits, below the published threshold;
+        # phases of 2048 PAEs drive mlop's counter to the ceiling
+        assert ArsenalConfig().tskid_selection_attempt > PREFETCH_COUNTER_MAX
+        a = run_phases("tc1", eval_cnt=2048)
+        counters = [value for entry in a.selection_timeline
+                    for value in entry["prefetch_counters"].values()]
+        assert max(counters) == PREFETCH_COUNTER_MAX
 
 
 class TestOnPae:

@@ -313,6 +313,8 @@ MALFORMED = [
     # a trace file is read whole
     (("run",), {}, {"pattern": None, "trace_file": "t.trace", "length": 5},
      "length has no effect beside a trace file"),
+    (BOTH, {}, {"pattern": {"kind": "phased", "segments": []}},
+     "phased requires at least one segment"),
 ]
 
 
