@@ -20,7 +20,6 @@ from .prefetchers import (
     IpStridePrefetcher,
     MlopPrefetcher,
     NextLinePrefetcher,
-    PaeContext,
     SppPrefetcher,
     TskidPrefetcher,
 )
@@ -190,15 +189,15 @@ class Arsenal:
                 score = sb[1] - dec
                 sb[1] = score if score > 0 else 0
 
-    def on_pae(self, ctx: PaeContext) -> tuple[Optional[str], list[int]]:
+    def on_pae(self, pc: int, line: int, seq: int) -> tuple[Optional[str], list[int]]:
         """(the deployed component, its candidates for this PAE)."""
-        self.score_demand(ctx.line)
+        self.score_demand(line)
 
         selected = self.chosen
         totals = self.total_candidates
         live: list[int] = []
         for name, component, f, sb in self._rows:
-            candidates = component.on_pae(ctx)
+            candidates = component.on_pae(pc, line, seq)
             if candidates:
                 n = len(candidates)
                 totals[name] += n
@@ -212,7 +211,7 @@ class Arsenal:
 
         self.eval_counter += 1
         if self.eval_counter >= self.config.eval_cnt:
-            self._decide(ctx.seq)
+            self._decide(seq)
         return selected, live
 
     def _decide(self, decided_at: int) -> None:

@@ -13,7 +13,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .traces import INT_CAP, AccessEvent, check_fields
+from .traces import INT_CAP, check_fields
 
 HIT = "hit"
 PREFETCH_HIT = "prefetch_hit"
@@ -74,7 +74,6 @@ class SetAssociativeCache:
 
     def __init__(self, config: CacheConfig):
         self.config = config
-        self._shift = config.line_shift
         self._set_mask = config.sets - 1
         self._ways = config.ways
         # a set's dict is made on first touch, so the set count costs nothing
@@ -116,16 +115,15 @@ class SetAssociativeCache:
                 self.evicted_unused_prefetches += 1
         lines[line] = row
 
-    def access(self, event: AccessEvent) -> AccessOutcome:
-        """Classify one demand access and update cache state.
+    def access(self, line: int, now: int) -> AccessOutcome:
+        """Classify a demand access to ``line`` at tick ``now``; update state.
 
-        Every prefetch whose fill is due by the event's seq is installed
-        first (fill_due), so a line that lands at that seq is a prefetch hit.
+        Every prefetch whose fill is due by ``now`` is installed first
+        (fill_due), so a line that lands at that tick is a prefetch hit.
         """
         inflight = self._inflight
-        if inflight and next(iter(inflight.values()))[0] <= event.seq:
-            self.fill_due(event.seq)
-        line = event.addr >> self._shift
+        if inflight and next(iter(inflight.values()))[0] <= now:
+            self.fill_due(now)
         lines = self._sets[line & self._set_mask]
         row = lines.pop(line, None)
         if row is not None:

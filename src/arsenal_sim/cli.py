@@ -9,7 +9,9 @@ Verbs:
 """
 
 import argparse
+import errno
 import json
+import os
 import sys
 from contextlib import contextmanager
 
@@ -69,11 +71,18 @@ def _load_config(args, flags: tuple) -> dict:
 
 
 def _checked_sink(data: dict) -> tuple:
-    """The report's path and format, once the format is known good."""
+    """The report's path and format, once the format is known good and the
+    path's directory exists; the error is the one opening it would raise."""
     fmt = data.get("format", FORMATS[0])
     if fmt not in FORMATS:
         raise ValueError(f"unknown format: {fmt!r}")
-    return data.get("out"), fmt
+    out = data.get("out")
+    if out not in (None, "-"):
+        folder = os.path.dirname(out) or "."
+        if not os.path.isdir(folder):
+            code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+            raise OSError(code, os.strerror(code), out)
+    return out, fmt
 
 
 @contextmanager

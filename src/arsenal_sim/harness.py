@@ -1,12 +1,13 @@
 """Experiment orchestration: trace -> cache -> engine -> report.
 
-An engine is anything with ``on_pae(ctx) -> (source, lines)`` and
+An engine is anything with ``on_pae(pc, line, seq) -> (source, lines)`` and
 ``describe() -> dict``: the meta-prefetcher, a single component running
 standalone with fixed aggressiveness, or the no-prefetch baseline. All the
 lines of one PAE come from one source, the component the engine deploys
 (None when it deploys none, and then the lines are empty). The simulation
-drives each demand access through the cache, which installs the prefetches
-due by then and classifies the access, and, on a PAE, through the engine;
+drives each demand access, as its line and tick, through the cache, which
+installs the prefetches due by then and classifies the access, and, on a
+PAE, with its PC, through the engine;
 each line goes to the cache's prefetch queue tagged with the source, and
 the cache counts what each source issued, got accepted, filled and made
 useful.
@@ -33,7 +34,6 @@ from .arsenal import (
 )
 from .cache import SOURCE_FIELDS, CacheConfig, SetAssociativeCache, amat
 from .metrics import COMPARE_METRICS, FORMATS, compute_metrics, overhead_for_test_case
-from .prefetchers import PaeContext
 from .traces import (LENGTH_RANGE, SEED_RANGE, AccessEvent, PatternSpec,
                      check_address_range, check_fields, generate, reject_unknown,
                      stream_trace_file)
@@ -53,7 +53,7 @@ SLICE_EVENTS = 256
 
 
 class NoPrefetchEngine:
-    def on_pae(self, ctx: PaeContext) -> tuple[None, list[int]]:
+    def on_pae(self, pc: int, line: int, seq: int) -> tuple[None, list[int]]:
         return None, []
 
     def describe(self) -> dict:
@@ -67,8 +67,8 @@ class StandaloneEngine:
         self.name = name
         self.component = component
 
-    def on_pae(self, ctx: PaeContext) -> tuple[str, list[int]]:
-        return self.name, self.component.on_pae(ctx)
+    def on_pae(self, pc: int, line: int, seq: int) -> tuple[str, list[int]]:
+        return self.name, self.component.on_pae(pc, line, seq)
 
     def describe(self) -> dict:
         detail = {"kind": "standalone", "component": self.name}
@@ -85,6 +85,7 @@ def _check_component_params(params) -> None:
         defaults = {key: p.default for key, p in
                     inspect.signature(cls).parameters.items() if key != "max_line"}
         check_fields(f"component_params.{name}", kw, defaults, ranges=cls.RANGES)
+        cls(**kw)  # its constructor states the rules between fields
 
 
 @dataclass
@@ -195,14 +196,12 @@ class Simulation:
         on_pae = self.engine.on_pae
         enqueue = cache.enqueue_prefetch
         shift = self._line_shift
-        new = tuple.__new__  # skips the NamedTuple's Python-level __new__
-        for event in events:
-            if access(event).is_pae:
-                seq = event.seq
-                source, lines = on_pae(
-                    new(PaeContext, (event.pc, event.addr >> shift, seq)))
-                for line in lines:
-                    enqueue(line, source, seq)
+        for pc, addr, _, seq in events:
+            line = addr >> shift
+            if access(line, seq).is_pae:
+                source, lines = on_pae(pc, line, seq)
+                for cand in lines:
+                    enqueue(cand, source, seq)
 
 
 def run_engines(cfg: ExperimentConfig, engines: Iterable[str]) -> dict:

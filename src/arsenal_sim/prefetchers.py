@@ -1,9 +1,10 @@
 """Component prefetchers behind a uniform shadow interface.
 
-Every prefetcher exposes ``on_pae(ctx) -> list[int]``: given the context of
-one prefetch activation event (a miss or prefetch hit), return zero or more
-candidate line addresses. Prefetchers never look at cache contents or at
-each other; replaying the same PAE sequence yields the same candidates.
+Every prefetcher exposes ``on_pae(pc, line, seq) -> list[int]``: given one
+prefetch activation event (a miss or prefetch hit) as the PC, the demanded
+line and the tick, return zero or more candidate line addresses.
+Prefetchers never look at cache contents or at each other; replaying the
+same PAE sequence yields the same candidates.
 
 Five components: next-line with a score-driven degree, an IP-indexed stride
 predictor, a signature-path predictor with recursive lookahead (spp), a
@@ -14,7 +15,6 @@ trigger-to-use distance.
 
 import heapq
 from collections import deque
-from typing import NamedTuple
 
 DEFAULT_MAX_LINE = (1 << 58) - 1  # 64-bit byte addresses, 64-byte lines
 
@@ -23,12 +23,6 @@ DEFAULT_MAX_LINE = (1 << 58) - 1  # 64-bit byte addresses, 64-byte lines
 # PAE walks or allocates (a degree, a lookahead depth, mlop's offsets and
 # levels, spp's slots and GHR), so no value can stall a run or exhaust memory.
 MAX_PER_PAE = 64
-
-
-class PaeContext(NamedTuple):
-    pc: int
-    line: int
-    seq: int
 
 
 class NextLinePrefetcher:
@@ -55,8 +49,7 @@ class NextLinePrefetcher:
         d = 1 + score // self.degree_divisor
         self.degree = min(self.max_degree, d)
 
-    def on_pae(self, ctx: PaeContext) -> list[int]:
-        line = ctx.line
+    def on_pae(self, pc: int, line: int, seq: int) -> list[int]:
         top = min(line + self.degree, self.max_line)
         return list(range(line + 1, top + 1))
 
@@ -90,23 +83,23 @@ class IpStridePrefetcher:
         # [line, *FRESH], in touch order
         self.table: dict[int, list] = {}
 
-    def on_pae(self, ctx: PaeContext) -> list[int]:
+    def on_pae(self, pc: int, line: int, seq: int) -> list[int]:
         table = self.table
-        entry = table.pop(ctx.pc, None)
+        entry = table.pop(pc, None)
         if entry is None:
             if len(table) >= self.table_size:
                 del table[next(iter(table))]
-            table[ctx.pc] = [ctx.line, *self.FRESH]
+            table[pc] = [line, *self.FRESH]
             return []
-        table[ctx.pc] = entry
-        delta = ctx.line - entry[0]
+        table[pc] = entry
+        delta = line - entry[0]
         _train_stride(entry, delta)
-        entry[0] = ctx.line
+        entry[0] = line
         stride = entry[1]
         if entry[2] >= 2 and stride != 0:
             max_line = self.max_line
             out = []
-            cand = ctx.line
+            cand = line
             for _ in range(self.degree):
                 cand += stride
                 if 0 <= cand <= max_line:
@@ -219,9 +212,9 @@ class SppPrefetcher:
                 return sig
         return 0
 
-    def on_pae(self, ctx: PaeContext) -> list[int]:
+    def on_pae(self, pc: int, line: int, seq: int) -> list[int]:
         page_lines = self.page_lines
-        page, offset = divmod(ctx.line, page_lines)
+        page, offset = divmod(line, page_lines)
         st = self.signature_table
         entry = st.pop(page, None)
         if entry is None:
@@ -323,10 +316,10 @@ class MlopPrefetcher:
         self.selected_offsets = chosen
         self.scores = {o: [0] * (self.levels + 1) for o in self._offsets}
 
-    def on_pae(self, ctx: PaeContext) -> list[int]:
+    def on_pae(self, pc: int, line: int, seq: int) -> list[int]:
         self._pae_count = now = self._pae_count + 1
         zone_lines = self.zone_lines
-        zone, x = divmod(ctx.line, zone_lines)
+        zone, x = divmod(line, zone_lines)
         table = self.zone_table
         stamps = table.pop(zone, None)
         if stamps is None:
@@ -345,7 +338,6 @@ class MlopPrefetcher:
         stamps[x] = now
         if now % self.round_paes == 0:
             self._end_round()
-        line = ctx.line
         max_line = self.max_line
         out = []
         for o in self.selected_offsets:
@@ -397,21 +389,20 @@ class TskidPrefetcher(IpStridePrefetcher):
         while dq and dq[0][0] <= now:
             out.append(heapq.heappop(dq)[2])
 
-    def on_pae(self, ctx: PaeContext) -> list[int]:
-        now = ctx.seq
+    def on_pae(self, pc: int, line: int, seq: int) -> list[int]:
         out: list[int] = []
-        self._release_due(now, out)
-        self._expire_pending(now)
-        rec = self._pending.pop(ctx.line, None)
+        self._release_due(seq, out)
+        self._expire_pending(seq)
+        rec = self._pending.pop(line, None)
         if rec is not None:
-            pc, trigger_seq = rec
-            owner = self.table.get(pc)
+            owner_pc, trigger_seq = rec
+            owner = self.table.get(owner_pc)
             if owner is not None:
-                owner[3] = now - trigger_seq
-        for predicted in _stride_step(self, ctx):  # degree 1: at most one
-            release = now + max(0, self.table[ctx.pc][3] - self.lead)
-            heapq.heappush(self._delay_queue, (release, now, predicted))
+                owner[3] = seq - trigger_seq
+        for predicted in _stride_step(self, pc, line, seq):  # degree 1: at most one
+            release = seq + max(0, self.table[pc][3] - self.lead)
+            heapq.heappush(self._delay_queue, (release, seq, predicted))
             self._pending.pop(predicted, None)
-            self._pending[predicted] = (ctx.pc, now)
-            self._release_due(now, out)  # untrained timing issues immediately
+            self._pending[predicted] = (pc, seq)
+            self._release_due(seq, out)  # untrained timing issues immediately
         return out

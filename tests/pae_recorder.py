@@ -31,16 +31,15 @@ def record_paes(arsenal) -> list[dict]:
     fp_tally = {name: f.false_positive_probes for name, f in blooms.items()}
 
     for name, component in arsenal.components.items():
-        def component_on_pae(ctx, name=name, inner=component.on_pae):
-            out = inner(ctx)
+        def component_on_pae(pc, line, seq, name=name, inner=component.on_pae):
+            out = inner(pc, line, seq)
             candidates[name] = tuple(out)
             return out
         component.on_pae = component_on_pae
 
     inner = arsenal.on_pae
 
-    def on_pae(ctx):
-        line = ctx.line
+    def on_pae(pc, line, seq):
         queries = {}
         for name, f in blooms.items():
             probes = f.false_positive_probes
@@ -50,7 +49,7 @@ def record_paes(arsenal) -> list[dict]:
             queries[name] = (answer, fp)
             fp_tally[name] += fp
         candidates.clear()
-        out = inner(ctx)
+        out = inner(pc, line, seq)
         for name, f in blooms.items():
             assert f.false_positive_probes == fp_tally[name]
         log.append({"line": line, "candidates": dict(candidates),

@@ -29,7 +29,7 @@ from arsenal_sim.harness import (
     run_experiment,
 )
 from arsenal_sim.metrics import overhead_for_test_case, to_json
-from arsenal_sim.prefetchers import PaeContext, SppPrefetcher
+from arsenal_sim.prefetchers import SppPrefetcher
 from arsenal_sim.traces import PatternSpec, phase_boundaries
 from pae_recorder import record_paes
 
@@ -391,8 +391,8 @@ def test_criterion_10_component_sanity():
     spp = spp_engine.component
     chains = []
 
-    def on_pae(ctx):
-        out = SppPrefetcher.on_pae(spp, ctx)
+    def on_pae(pc, line, seq):
+        out = SppPrefetcher.on_pae(spp, pc, line, seq)
         chains.append(len(out))
         return out
 
@@ -402,7 +402,7 @@ def test_criterion_10_component_sanity():
     assert_steps_never_raise_confidence(spp)
     rng = random.Random(43)
     for seq in range(20_000):
-        out = SppPrefetcher.on_pae(spp, PaeContext(0x400, rng.randrange(64 * 64), seq))
+        out = SppPrefetcher.on_pae(spp, 0x400, rng.randrange(64 * 64), seq)
         assert len(out) <= 8
     assert_steps_never_raise_confidence(spp)
 

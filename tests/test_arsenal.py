@@ -21,14 +21,13 @@ from arsenal_sim.arsenal import (
 )
 from arsenal_sim.cache import CacheConfig
 from arsenal_sim.harness import Simulation
-from arsenal_sim.prefetchers import PaeContext
 from arsenal_sim.traces import PatternSpec, generate
 from pae_recorder import record_paes
 from random_configs import caches, patterns, score_steps
 
 
 def ctx(line, seq, pc=0x400):
-    return PaeContext(pc, line, seq)
+    return pc, line, seq
 
 
 def tc2_arsenal(**kw):
@@ -183,7 +182,7 @@ class TestConfiguredThresholds:
 class TestOnPae:
     def test_initial_phase_returns_nothing_but_updates(self):
         a = tc2_arsenal()
-        _, out = a.on_pae(ctx(100, 0))
+        _, out = a.on_pae(*ctx(100, 0))
         assert out == []
         assert a.eval_counter == 1
         # next-line shadowed lines are in its filter
@@ -193,16 +192,16 @@ class TestOnPae:
         a = tc2_arsenal()
         a.components[NEXT_LINE].degree = 5
         a.chosen = NEXT_LINE
-        source, out = a.on_pae(ctx(100, 7))
+        source, out = a.on_pae(*ctx(100, 7))
         assert out == [101, 102, 103, 104, 105]
         assert source == NEXT_LINE
 
     def test_selection_fires_exactly_at_eval_cnt(self):
         a = tc2_arsenal(eval_cnt=512)
         for i in range(511):
-            a.on_pae(ctx(1000 + i, i))
+            a.on_pae(*ctx(1000 + i, i))
         assert a.selection_timeline == []
-        a.on_pae(ctx(5000, 511))
+        a.on_pae(*ctx(5000, 511))
         assert len(a.selection_timeline) == 1
         decision = a.selection_timeline[0]
         assert decision["eval_counters"] == {SPP: 512, IP_STRIDE: 512, NEXT_LINE: 512}
@@ -213,7 +212,7 @@ class TestOnPae:
     def test_selection_every_eval_cnt_paes(self):
         a = tc2_arsenal(eval_cnt=64)
         for i in range(640):
-            a.on_pae(ctx(i * 3, i))
+            a.on_pae(*ctx(i * 3, i))
         assert len(a.selection_timeline) == 10
         decided = [d["decided_at"] for d in a.selection_timeline]
         assert decided == [63 + 64 * k for k in range(10)]
@@ -230,7 +229,7 @@ class TestOnPae:
         for pc, line, gap in stream:
             seq += gap
             seqs.append(seq)
-            a.on_pae(ctx(line, seq, 0x400 + 8 * pc))
+            a.on_pae(*ctx(line, seq, 0x400 + 8 * pc))
         timeline = a.selection_timeline
         assert len(timeline) == len(stream) // eval_cnt
         for k, decision in enumerate(timeline, start=1):
@@ -241,13 +240,13 @@ class TestOnPae:
     def test_eval_counter_never_exceeds_cap_after_call(self):
         a = tc2_arsenal(eval_cnt=32)
         for i in range(200):
-            a.on_pae(ctx(i, i))
+            a.on_pae(*ctx(i, i))
             assert a.eval_counter <= 31
 
     def test_prefetch_counter_saturates_at_12_bits(self):
         a = tc2_arsenal(eval_cnt=100_000)  # no reset during the test
         for i in range(800):
-            a.on_pae(ctx(i, i))
+            a.on_pae(*ctx(i, i))
             assert all(a.scoreboard[n][0] <= PREFETCH_COUNTER_MAX for n in a.names)
         # sequential stream: next-line and spp both shadow thousands of lines
         assert a.scoreboard[SPP][0] == PREFETCH_COUNTER_MAX
@@ -255,7 +254,7 @@ class TestOnPae:
     def test_score_never_exceeds_11_bits(self):
         a = tc2_arsenal(eval_cnt=100_000)
         for i in range(700):
-            a.on_pae(ctx(i, i))
+            a.on_pae(*ctx(i, i))
             assert all(a.scoreboard[n][1] <= SCORE_MAX for n in a.names)
 
 
@@ -263,7 +262,7 @@ class TestPhaseReset:
     def test_reset_clears_sandbox_state(self):
         a = tc2_arsenal()
         for i in range(100):
-            a.on_pae(ctx(i, i))
+            a.on_pae(*ctx(i, i))
         a.phase_reset()
         assert a.eval_counter == 0
         for name in a.names:
@@ -282,12 +281,12 @@ class TestPhaseReset:
         a = tc2_arsenal(eval_cnt=16)
         # drive a pure sequential stream; next-line wins its phases
         for i in range(16 * 6):
-            a.on_pae(ctx(i, i, pc=0x400 + (i % 4) * 8))
+            a.on_pae(*ctx(i, i, pc=0x400 + (i % 4) * 8))
         chosen = [d["chosen"] for d in a.selection_timeline]
         assert a.chosen == chosen[-1]
         # between decisions, on_pae output source matches the live selection
         live = a.chosen
-        source, out = a.on_pae(ctx(10_000, 10_000))
+        source, out = a.on_pae(*ctx(10_000, 10_000))
         if out:
             assert source == live
 
@@ -320,7 +319,7 @@ class TestOracleEquivalence:
         a = Arsenal("tc2", ArsenalConfig(filter_kind="exact", eval_cnt=64))
         log = record_paes(a)
         for seq in range(640):
-            a.on_pae(ctx(rng.randrange(2048), seq, pc=0x400 + rng.randrange(8) * 8))
+            a.on_pae(*ctx(rng.randrange(2048), seq, pc=0x400 + rng.randrange(8) * 8))
         want = self._brute_force_scores(log, a.names, 64)
         got = [d["scores"] for d in a.selection_timeline]
         assert got == want

@@ -9,15 +9,13 @@ from arsenal_sim.cache import (
     MISS,
     PREFETCH_HIT,
     SOURCE_FIELDS,
-    AccessEvent,
     CacheConfig,
     SetAssociativeCache,
     amat,
 )
-
-
-def ev(line, seq, pc=0x400):
-    return AccessEvent(pc, line * 64, False, seq)
+from arsenal_sim.harness import Simulation, StandaloneEngine
+from arsenal_sim.prefetchers import NextLinePrefetcher
+from arsenal_sim.traces import AccessEvent
 
 
 def make_cache(**overrides):
@@ -33,15 +31,15 @@ def per_source(cache, field):
 class TestAccessClassification:
     def test_cold_cache_miss(self):
         c = make_cache()
-        out = c.access(ev(7, 0))
+        out = c.access(7, 0)
         assert out.kind == MISS
         assert amat(c.demand_counts(), c.config) == 200
         assert out.is_pae
 
     def test_same_line_reaccess_hits(self):
         c = make_cache()
-        c.access(ev(7, 0))
-        out = c.access(ev(7, 1))
+        c.access(7, 0)
+        out = c.access(7, 1)
         assert out.kind == HIT
         assert amat({"hits": 1}, c.config) == 4
         assert not out.is_pae
@@ -51,10 +49,10 @@ class TestAccessClassification:
         c = make_cache()
         assert c.enqueue_prefetch(9, "nl", 0)
         c.fill_due(100)
-        first = c.access(ev(9, 100))
+        first = c.access(9, 100)
         assert first.kind == PREFETCH_HIT
         assert first.is_pae
-        second = c.access(ev(9, 101))
+        second = c.access(9, 101)
         assert second.kind == HIT
         assert not second.is_pae
         assert per_source(c, "useful") == {"nl": 1}
@@ -63,31 +61,41 @@ class TestAccessClassification:
         c = make_cache()
         c.enqueue_prefetch(9, "nl", 0)
         c.fill_due(10)  # not due yet (fill at 40)
-        out = c.access(ev(9, 10))
+        out = c.access(9, 10)
         assert out.kind == LATE_PREFETCH_HIT
         assert amat(c.demand_counts(), c.config) == 100
         assert out.is_pae
         assert c.in_flight_count == 0  # converted to a demand fill
         assert c.prefetch_counts()["late_converted"] == 1
         # resident now, as a demand line: next touch is a plain hit
-        assert c.access(ev(9, 11)).kind == HIT
+        assert c.access(9, 11).kind == HIT
 
     def test_writes_behave_like_reads(self):
+        # the write flag reaches no further than Simulation.run, which hands
+        # the cache and the engine only the line and the tick
         rng = random.Random(6)
         lines = [rng.randrange(256) for _ in range(3000)]
 
         def run(writes):
-            c = make_cache()
+            cfg = CacheConfig(sets=16, ways=4)  # 64 lines, so misses recur
+            sim = Simulation(cfg, StandaloneEngine(
+                "next_line", NextLinePrefetcher(degree=2, max_line=cfg.max_line)))
             outs = []
-            for seq, line in enumerate(lines):
-                c.fill_due(seq)
-                if seq % 3 == 0:
-                    c.enqueue_prefetch((line + 1) % 256, "x", seq)
-                ev_ = AccessEvent(0x400, line * 64, writes and seq % 2 == 0, seq)
-                outs.append(c.access(ev_).kind)
-            return outs, c.demand_counts()
+            access = sim.cache.access
 
-        assert run(writes=False) == run(writes=True)
+            def recorded(line, now):
+                outs.append(access(line, now))
+                return outs[-1]
+            sim.cache.access = recorded
+            sim.run(AccessEvent(0x400, line * 64, writes and seq % 2 == 0, seq)
+                    for seq, line in enumerate(lines))
+            c = sim.cache
+            return ([o.kind for o in outs], c.demand_counts(), c.prefetch_counts(),
+                    dict(c.by_source))
+
+        reads = run(writes=False)
+        assert reads[3]["next_line"][3] > 0  # some next-line prefetch was useful
+        assert reads == run(writes=True)
 
     def test_is_pae_iff_not_hit(self):
         c = make_cache()
@@ -97,14 +105,14 @@ class TestAccessClassification:
             if rng.random() < 0.2:
                 c.enqueue_prefetch(rng.randrange(256), "x", seq)
             c.fill_due(seq)
-            out = c.access(ev(line, seq))
+            out = c.access(line, seq)
             assert out.is_pae == (out.kind != HIT)
 
 
 class TestEnqueue:
     def test_resident_line_rejected(self):
         c = make_cache()
-        c.access(ev(5, 0))
+        c.access(5, 0)
         assert not c.enqueue_prefetch(5, "nl", 1)
         assert c.pf_dropped_resident == 1
         assert c.in_flight_count == 0
@@ -149,7 +157,7 @@ class TestFillDue:
         c.fill_due(40)
         assert c.prefetch_counts()["filled"] == 1
         assert c.is_resident(3)
-        out = c.access(ev(3, 41))
+        out = c.access(3, 41)
         assert out.kind == PREFETCH_HIT
 
     def test_partial_drain(self):
@@ -169,7 +177,7 @@ class TestFillDue:
         # line 9 is enqueued at seq 0 (fill due at 40); no fill_due call
         c = make_cache()
         assert c.enqueue_prefetch(9, "nl", 0)
-        out = c.access(ev(9, 40))
+        out = c.access(9, 40)
         assert out.kind == PREFETCH_HIT
         assert per_source(c, "filled") == {"nl": 1}
         assert per_source(c, "useful") == {"nl": 1}
@@ -266,7 +274,7 @@ class TestAgainstReferenceModel:
                 want = ref.enqueue(line, seq)
                 assert got == want, f"enqueue diverged at seq {seq}"
             line = rng.randrange(64)
-            got = c.access(ev(line, seq)).kind
+            got = c.access(line, seq).kind
             want = ref.access(line)
             assert got == want, f"access diverged at seq {seq}: {got} vs {want}"
 
@@ -282,7 +290,7 @@ class TestAgainstReferenceModel:
         for seq in range(8000):
             ref.fill_due(seq)
             line = rng.randrange(64)
-            got = c.access(ev(line, seq)).kind
+            got = c.access(line, seq).kind
             want = ref.access(line)
             assert got == want, f"access diverged at seq {seq}: {got} vs {want}"
             for _ in range(rng.randrange(4)):
@@ -294,11 +302,11 @@ class TestAgainstReferenceModel:
 
     def test_lru_evicts_oldest_touch(self):
         c = make_cache(sets=1, ways=3)
-        c.access(ev(1, 0))
-        c.access(ev(2, 1))
-        c.access(ev(3, 2))
-        c.access(ev(1, 3))           # 2 is now the oldest touch
-        c.access(ev(4, 4))           # evicts 2
+        c.access(1, 0)
+        c.access(2, 1)
+        c.access(3, 2)
+        c.access(1, 3)           # 2 is now the oldest touch
+        c.access(4, 4)           # evicts 2
         assert c.is_resident(1)
         assert not c.is_resident(2)
         assert c.is_resident(3)
@@ -316,7 +324,7 @@ class TestAgainstReferenceModel:
                 c.fill_due(seq)
                 if do_pf:
                     c.enqueue_prefetch(pf_line, "x", seq)
-                outcomes.append(c.access(ev(line, seq)).kind)
+                outcomes.append(c.access(line, seq).kind)
             return outcomes, c.demand_counts(), c.prefetch_counts()
 
         assert run() == run()
@@ -332,7 +340,7 @@ class TestAgainstReferenceModel:
                 c = make_cache(sets=sets, prefetch_fill_delay=2)
                 for seq in range(400):
                     c.enqueue_prefetch(rng.randrange(1 << 50), "x", seq)
-                    c.access(ev(rng.randrange(1 << 50), seq))
+                    c.access(rng.randrange(1 << 50), seq)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

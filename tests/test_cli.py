@@ -26,9 +26,9 @@ def steps(monkeypatch):
     count = [0]
     access = SetAssociativeCache.access
 
-    def counted(self, event):
+    def counted(self, line, now):
         count[0] += 1
-        return access(self, event)
+        return access(self, line, now)
 
     monkeypatch.setattr(SetAssociativeCache, "access", counted)
     return count
@@ -315,6 +315,13 @@ MALFORMED = [
      "length has no effect beside a trace file"),
     (BOTH, {}, {"pattern": {"kind": "phased", "segments": []}},
      "phased requires at least one segment"),
+    # a rule between fields holds whether or not the engine builds next_line
+    (("run",), {"engine": "arsenal-tc1",
+                "component_params": {"next_line": {"degree": 5, "max_degree": 3}}},
+     {}, "component_params.next_line field degree must be <= max_degree, got 5 > 3"),
+    (("compare",), {"policy": "tc1",
+                    "component_params": {"next_line": {"degree": 5, "max_degree": 3}}},
+     {}, "component_params.next_line field degree must be <= max_degree, got 5 > 3"),
 ]
 
 
@@ -685,6 +692,14 @@ class TestRun:
         failed_before_running(capsys, steps, out,
                               "length has no effect beside a trace file")
 
+    def test_missing_out_directory_fails_before_running(self, tmp_path, capsys,
+                                                        steps):
+        out = tmp_path / "missing" / "report.json"
+        assert run_cli("run", "--pattern", "sequential", "--length", "2000",
+                       "--engine", "arsenal-tc2", "--out", str(out)) == 1
+        failed_before_running(capsys, steps, out,
+                              f"[Errno 2] No such file or directory: {str(out)!r}")
+
 
 class TestCompare:
     @pytest.fixture
@@ -749,6 +764,16 @@ class TestCompare:
             {"label": "seq", "pattern": SEQ, "length": 300},
             {"label": "file", "file": str(trace), "length": 100}]}, "compare",
             "length has no effect beside a trace file")
+
+    def test_missing_out_directory_fails_before_running(self, tmp_path, capsys,
+                                                        steps):
+        config = tmp_path / "cmp.json"
+        config.write_text(json.dumps({"policy": "tc1", "traces": [
+            {"pattern": SEQ, "length": 2000}]}))
+        out = tmp_path / "missing" / "report.json"
+        assert run_cli("compare", "--config", str(config), "--out", str(out)) == 1
+        failed_before_running(capsys, steps, out,
+                              f"[Errno 2] No such file or directory: {str(out)!r}")
 
 
 @pytest.fixture

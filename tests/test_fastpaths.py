@@ -15,12 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arsenal_sim.bloom import _GOLDEN, BloomFilter, BloomParams, _mix64
-from arsenal_sim.cache import AccessEvent, CacheConfig, SetAssociativeCache
+from arsenal_sim.cache import CacheConfig, SetAssociativeCache
 from arsenal_sim.prefetchers import (
     DEFAULT_MAX_LINE,
     IpStridePrefetcher,
     MlopPrefetcher,
-    PaeContext,
     SppPrefetcher,
     TskidPrefetcher,
     _train_stride,
@@ -183,7 +182,7 @@ def test_cache_sets_keep_touch_order(sets, ways, delay, ops):
             del pending[due]
             touched(due)
         assert [list(cache._sets.get(i, ())) for i in range(sets)] == ref
-        cache.access(AccessEvent(0x400, line << 6, False, seq))
+        cache.access(line, seq)
         pending.pop(line, None)  # a demand to an in-flight line fills it now
         touched(line)
         if prefetch and line + offset >= 0:
@@ -197,7 +196,7 @@ pae_stream = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 400)),
 
 
 def contexts(stream):
-    return [PaeContext(0x400 + 8 * pc, line, seq)
+    return [(0x400 + 8 * pc, line, seq)
             for seq, (pc, line) in enumerate(stream)]
 
 
@@ -206,18 +205,18 @@ def contexts(stream):
 def test_prefetcher_tables_keep_touch_order(size, stream):
     # (component, its LRU table, the key a PAE touches in it)
     tables = [
-        (IpStridePrefetcher(table_size=size), "table", lambda ctx: ctx.pc),
+        (IpStridePrefetcher(table_size=size), "table", lambda pc, line, seq: pc),
         (SppPrefetcher(st_entries=size, page_lines=16), "signature_table",
-         lambda ctx: ctx.line // 16),
+         lambda pc, line, seq: line // 16),
         (MlopPrefetcher(zones=size, zone_lines=16, round_paes=16), "zone_table",
-         lambda ctx: ctx.line // 16),
-        (TskidPrefetcher(table_size=size), "table", lambda ctx: ctx.pc),
+         lambda pc, line, seq: line // 16),
+        (TskidPrefetcher(table_size=size), "table", lambda pc, line, seq: pc),
     ]
     refs = [[] for _ in tables]
     for ctx in contexts(stream):
         for (component, attr, key), ref in zip(tables, refs):
-            component.on_pae(ctx)
-            touch(ref, key(ctx), size)
+            component.on_pae(*ctx)
+            touch(ref, key(*ctx), size)
             assert list(getattr(component, attr)) == ref
 
 
@@ -244,7 +243,7 @@ def test_spp_best_slot_memo_matches_fresh_max(pt_entries, pt_slots, counter_max,
     spp = SppPrefetcher(**kw)
     ref = RerankingSpp(**kw)
     for ctx in contexts(stream):
-        assert spp.on_pae(ctx) == ref.on_pae(ctx)
+        assert spp.on_pae(*ctx) == ref.on_pae(*ctx)
         for entry in spp.pattern_table.values():
             assert entry[2] is fresh_best(entry)
     assert spp.pattern_table == ref.pattern_table
@@ -291,10 +290,10 @@ class ReferenceMlop:
             self.scores[o] = [0] * (self.levels + 1)
         self.round_counter = 0
 
-    def on_pae(self, ctx: PaeContext) -> list[int]:
+    def on_pae(self, pc: int, line: int, seq: int) -> list[int]:
         self._pae_count = now = self._pae_count + 1
         zone_lines = self.zone_lines
-        zone, x = divmod(ctx.line, zone_lines)
+        zone, x = divmod(line, zone_lines)
         table = self.zone_table
         entry = table.pop(zone, None)
         if entry is None:
@@ -320,7 +319,6 @@ class ReferenceMlop:
             self._end_round()
         if not self.selected_offsets:
             return []
-        line = ctx.line
         max_line = self.max_line
         out = []
         for o in self.selected_offsets:
@@ -354,8 +352,7 @@ def test_mlop_histogram_matches_per_level_reference(zones, zone_lines, levels,
     lines = [start + stride * i for start, stride, count in runs
              for i in range(count) if start + stride * i >= 0]
     for seq, line in enumerate(lines):
-        ctx = PaeContext(0x400, line, seq)
-        assert mlop.on_pae(ctx) == ref.on_pae(ctx)
+        assert mlop.on_pae(0x400, line, seq) == ref.on_pae(0x400, line, seq)
         assert mlop.selected_offsets == ref.selected_offsets
         assert list(mlop.zone_table) == list(ref.zone_table)
 
@@ -402,35 +399,35 @@ class ReferenceTskid:
         while dq and dq[0][0] <= now:
             out.append(heapq.heappop(dq)[2])
 
-    def on_pae(self, ctx: PaeContext) -> list[int]:
-        now = ctx.seq
+    def on_pae(self, pc: int, line: int, seq: int) -> list[int]:
+        now = seq
         out: list[int] = []
         self._release_due(now, out)
         self._expire_pending(now)
-        rec = self._pending.pop(ctx.line, None)
+        rec = self._pending.pop(line, None)
         if rec is not None:
-            pc, trigger_seq = rec
-            owner = self.table.get(pc)
+            owner_pc, trigger_seq = rec
+            owner = self.table.get(owner_pc)
             if owner is not None:
                 owner[3] = now - trigger_seq
         table = self.table
-        entry = table.pop(ctx.pc, None)
+        entry = table.pop(pc, None)
         if entry is None:
             if len(table) >= self.table_size:
                 del table[next(iter(table))]
-            table[ctx.pc] = [ctx.line, 0, 0, 0]
+            table[pc] = [line, 0, 0, 0]
             return out
-        table[ctx.pc] = entry
-        delta = ctx.line - entry[0]
+        table[pc] = entry
+        delta = line - entry[0]
         _train_stride(entry, delta)
-        entry[0] = ctx.line
+        entry[0] = line
         if entry[2] >= 2 and entry[1] != 0:
-            predicted = ctx.line + entry[1]
+            predicted = line + entry[1]
             if 0 <= predicted <= self.max_line:
                 release = now + max(0, entry[3] - self.lead)
                 self._tie += 1
                 heapq.heappush(self._delay_queue, (release, self._tie, predicted))
-                self._pending[predicted] = (ctx.pc, now)
+                self._pending[predicted] = (pc, now)
                 self._pending_fifo.append((now, predicted))
                 self._release_due(now, out)  # untrained timing issues immediately
         return out
@@ -456,7 +453,7 @@ def tskid_stream(bursts):
             events.append((100 + filler, 10 ** 6 + 1000 * filler))
         for who, line in events:
             seq += gap  # strictly increasing
-            yield PaeContext(0x400 + 8 * who, line, seq)
+            yield 0x400 + 8 * who, line, seq
 
 
 @settings(max_examples=200, deadline=None)
@@ -469,7 +466,7 @@ def test_tskid_dict_order_expiry_matches_fifo_reference(lead, verification_expir
     tskid = TskidPrefetcher(**kw)
     ref = ReferenceTskid(**kw)
     for ctx in tskid_stream(bursts):
-        assert tskid.on_pae(ctx) == ref.on_pae(ctx)
+        assert tskid.on_pae(*ctx) == ref.on_pae(*ctx)
         assert tskid.table == ref.table
         assert tskid._pending == ref._pending
         # the same release order: ties go to the earlier push either way

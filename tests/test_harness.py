@@ -157,7 +157,7 @@ class TestSimulationStepping:
         cfg = seq_cfg("none", length=2000)
         engine = NoPrefetchEngine()
         paes = []
-        engine.on_pae = lambda ctx: paes.append(ctx) or (None, [])
+        engine.on_pae = lambda *pae: paes.append(pae) or (None, [])
         sim = Simulation(cfg.cache, engine)
         sim.run(cfg.events())
         d = sim.cache.demand_counts()

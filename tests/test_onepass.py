@@ -106,8 +106,8 @@ def test_per_source_accounting_is_conserved(engine, pattern, cache, length, eval
         if name == engine:
             inner = built.on_pae
 
-            def on_pae(ctx):
-                source, lines = inner(ctx)
+            def on_pae(pc, line, seq):
+                source, lines = inner(pc, line, seq)
                 returned[0] += len(lines)
                 return source, lines
             built.on_pae = on_pae

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arsenal_sim.cache import AccessEvent
 from arsenal_sim.traces import (
+    AccessEvent,
     PatternSpec,
     TraceParseError,
     check_address_range,
