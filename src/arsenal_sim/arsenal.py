@@ -139,13 +139,6 @@ def build_component(name: str, params: dict, max_line: int = DEFAULT_MAX_LINE,
     return entry.cls(**kw)
 
 
-def build_components(policy: str, component_params: dict | None = None,
-                     max_line: int = DEFAULT_MAX_LINE) -> dict:
-    """Instantiate the component roster for a selection policy."""
-    return {name: build_component(name, component_params or {}, max_line)
-            for name in roster(policy)}
-
-
 class Arsenal:
     """The framework: components, per-component filters, scoreboard, phases.
     ``policy`` (a POLICIES key) picks the roster and the selection rule,
@@ -156,8 +149,9 @@ class Arsenal:
                  max_line: int = DEFAULT_MAX_LINE):
         self.policy = policy
         self.config = config or ArsenalConfig()
-        self.components = components = build_components(
-            policy, component_params, max_line)
+        self.components = components = {
+            name: build_component(name, component_params or {}, max_line)
+            for name in roster(policy)}
         self._rule = POLICIES[policy][1]
         self.names = list(components.keys())
         self.filters = {

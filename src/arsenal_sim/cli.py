@@ -71,16 +71,18 @@ def _load_config(args, flags: tuple) -> dict:
 
 
 def _checked_sink(data: dict) -> tuple:
-    """The report's path and format, once the format is known good and the
-    path's directory exists; the error is the one opening it would raise."""
+    """The report's path and format, once the format is known good, the
+    path's directory exists and the path is not itself a directory; the
+    error is the one opening it would raise."""
     fmt = data.get("format", FORMATS[0])
     if fmt not in FORMATS:
         raise ValueError(f"unknown format: {fmt!r}")
     out = data.get("out")
     if out not in (None, "-"):
         folder = os.path.dirname(out) or "."
-        if not os.path.isdir(folder):
-            code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+        if os.path.isdir(out) or not os.path.isdir(folder):
+            code = (errno.EISDIR if os.path.isdir(out) else
+                    errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT)
             raise OSError(code, os.strerror(code), out)
     return out, fmt
 

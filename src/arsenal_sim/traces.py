@@ -1,7 +1,7 @@
 """Trace ingestion and synthetic access-pattern generation.
 
 Trace files are plain text, one demand access per line: ``PC ADDR R|W``
-with 0x-prefixed hex fields; ``#`` starts a comment line. Synthetic
+with hex fields, 0x prefix optional; ``#`` starts a comment line. Synthetic
 patterns cover the access shapes the simulator cares about: sequential
 streams, fixed strides, random working sets, interleaved per-PC delta
 streams, and phased concatenations of the above. Generation is fully
@@ -11,7 +11,7 @@ deterministic given the pattern spec and its seed.
 import math
 import random
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 SEQUENTIAL = "sequential"
 STRIDE = "stride"
@@ -22,11 +22,8 @@ PHASED = "phased"
 PATTERN_KINDS = (SEQUENTIAL, STRIDE, RANDOM_WORKING_SET, PC_DELTA, PHASED)
 
 
-class AccessEvent(NamedTuple):
-    pc: int
-    addr: int
-    is_write: bool
-    seq: int
+# one demand access: (pc, addr, is_write, seq), a plain tuple
+AccessEvent = tuple[int, int, bool, int]
 
 
 class TraceParseError(ValueError):
@@ -36,8 +33,7 @@ class TraceParseError(ValueError):
 
 
 def parse_trace(stream: Iterable[str]) -> Iterator[AccessEvent]:
-    """Yield AccessEvents from a text trace, assigning seq 0, 1, 2, ..."""
-    new = tuple.__new__  # skips the NamedTuple's Python-level __new__
+    """Yield events from a text trace, assigning seq 0, 1, 2, ..."""
     seq = 0
     for line_number, raw in enumerate(stream, start=1):
         line = raw.strip()
@@ -46,7 +42,11 @@ def parse_trace(stream: Iterable[str]) -> Iterator[AccessEvent]:
         parts = line.split()
         if len(parts) != 3:
             raise TraceParseError(line_number, f"expected 'PC ADDR R|W', got {line!r}")
+        # int() takes a sign and "_" separators, which no trace writer emits
+        hex_text = parts[0] + parts[1]
         try:
+            if "_" in hex_text or "+" in hex_text:
+                raise ValueError
             pc = int(parts[0], 16)
             addr = int(parts[1], 16)
         except ValueError:
@@ -57,7 +57,7 @@ def parse_trace(stream: Iterable[str]) -> Iterator[AccessEvent]:
         op = parts[2].upper()
         if op not in ("R", "W"):
             raise TraceParseError(line_number, f"op must be R or W, got {parts[2]!r}")
-        yield new(AccessEvent, (pc, addr, op == "W", seq))
+        yield pc, addr, op == "W", seq
         seq += 1
 
 
@@ -72,8 +72,8 @@ def stream_trace_file(path: str) -> Iterator[AccessEvent]:
 def write_trace(events: Iterable[AccessEvent], sink) -> int:
     """Write events in the text trace format; returns the record count."""
     n = 0
-    for ev in events:
-        sink.write(f"0x{ev.pc:x} 0x{ev.addr:x} {'W' if ev.is_write else 'R'}\n")
+    for pc, addr, is_write, _ in events:
+        sink.write(f"0x{pc:x} 0x{addr:x} {'W' if is_write else 'R'}\n")
         n += 1
     return n
 
@@ -215,11 +215,9 @@ class PatternSpec:
 
 def _generate_flat(spec: PatternSpec, length: int, seq_base: int,
                    rng: random.Random) -> Iterator[AccessEvent]:
-    # tuple.__new__ skips the NamedTuple's Python-level __new__. Each draw
-    # is rng.randrange(n) inlined: CPython's rejection draw of
+    # Each draw is rng.randrange(n) inlined: CPython's rejection draw of
     # n.bit_length() bits, redrawn while >= n (bits are drawn for n == 1
     # too), so the traces stay those of randrange; tests pin the two.
-    new = tuple.__new__
     getrandbits = rng.getrandbits
     kind = spec.kind
     seqs = range(seq_base, seq_base + length)
@@ -233,12 +231,12 @@ def _generate_flat(spec: PatternSpec, length: int, seq_base: int,
             p = getrandbits(pc_bits)
             while p >= n_pcs:
                 p = getrandbits(pc_bits)
-            yield new(AccessEvent, (pc + 8 * p, addr, False, seq))
+            yield pc + 8 * p, addr, False, seq
             addr += step
     elif kind == STRIDE:
         pc, addr, stride = spec.pc, spec.start, spec.stride
         for seq in seqs:
-            yield new(AccessEvent, (pc, addr, False, seq))
+            yield pc, addr, False, seq
             addr += stride
     elif kind == RANDOM_WORKING_SET:
         pc = spec.pc
@@ -258,13 +256,13 @@ def _generate_flat(spec: PatternSpec, length: int, seq_base: int,
             p = getrandbits(pc_bits)
             while p >= n_pcs:
                 p = getrandbits(pc_bits)
-            yield new(AccessEvent, (pc + 8 * p, (base_line + r) * lsz, is_write, seq))
+            yield pc + 8 * p, (base_line + r) * lsz, is_write, seq
     else:  # PC_DELTA: a built spec has no other kind here
         cursors = [[s["pc"], s["start"], s["delta"]] for s in spec.streams]
         n = len(cursors)
         for i, seq in enumerate(seqs):
             cur = cursors[i % n]
-            yield new(AccessEvent, (cur[0], cur[1], False, seq))
+            yield cur[0], cur[1], False, seq
             cur[1] += cur[2]
 
 

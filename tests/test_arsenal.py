@@ -15,7 +15,6 @@ from arsenal_sim.arsenal import (
     TSKID,
     Arsenal,
     ArsenalConfig,
-    build_components,
     select_test_case_1,
     select_test_case_2,
 )
@@ -370,11 +369,11 @@ class TestOracleEquivalence:
 
 class TestConfigAndRosters:
     def test_tc1_roster(self):
-        comps = build_components("tc1", {})
+        comps = Arsenal("tc1").components
         assert set(comps) == {TSKID, MLOP}
 
     def test_tc2_roster(self):
-        comps = build_components("tc2", {})
+        comps = Arsenal("tc2").components
         assert set(comps) == {SPP, IP_STRIDE, NEXT_LINE}
 
     def test_unknown_policy_is_named(self):
@@ -382,7 +381,7 @@ class TestConfigAndRosters:
             Arsenal("tc3")
 
     def test_component_params_forwarded(self):
-        comps = build_components("tc2", {NEXT_LINE: {"degree": 3}})
+        comps = Arsenal("tc2", component_params={NEXT_LINE: {"degree": 3}}).components
         assert comps[NEXT_LINE].degree == 3
 
     @pytest.mark.parametrize("kw", [

@@ -15,7 +15,6 @@ from arsenal_sim.cache import (
 )
 from arsenal_sim.harness import Simulation, StandaloneEngine
 from arsenal_sim.prefetchers import NextLinePrefetcher
-from arsenal_sim.traces import AccessEvent
 
 
 def make_cache(**overrides):
@@ -87,7 +86,7 @@ class TestAccessClassification:
                 outs.append(access(line, now))
                 return outs[-1]
             sim.cache.access = recorded
-            sim.run(AccessEvent(0x400, line * 64, writes and seq % 2 == 0, seq)
+            sim.run((0x400, line * 64, writes and seq % 2 == 0, seq)
                     for seq, line in enumerate(lines))
             c = sim.cache
             return ([o.kind for o in outs], c.demand_counts(), c.prefetch_counts(),

@@ -478,7 +478,7 @@ class TestGen:
                        "--seed", "3", "--out", str(out)) == 0
         events = list(stream_trace_file(str(out)))
         assert len(events) == 100
-        assert [e.addr for e in events[:3]] == [0, 64, 128]
+        assert [addr for _, addr, _, _ in events[:3]] == [0, 64, 128]
 
     def test_gen_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.trace", tmp_path / "b.trace"
@@ -700,6 +700,18 @@ class TestRun:
         failed_before_running(capsys, steps, out,
                               f"[Errno 2] No such file or directory: {str(out)!r}")
 
+    def test_out_directory_fails_before_running(self, tmp_path, capsys, steps):
+        # failed_before_running would find the directory at ``out``; it
+        # must stay empty instead
+        out = tmp_path / "reports"
+        out.mkdir()
+        assert run_cli("run", "--pattern", "sequential", "--length", "2000",
+                       "--engine", "arsenal-tc2", "--out", str(out)) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"arsenal-sim: error: [Errno 21] Is a directory: {str(out)!r}"]
+        assert list(out.iterdir()) == []
+        assert steps[0] == 0
+
 
 class TestCompare:
     @pytest.fixture
@@ -774,6 +786,18 @@ class TestCompare:
         assert run_cli("compare", "--config", str(config), "--out", str(out)) == 1
         failed_before_running(capsys, steps, out,
                               f"[Errno 2] No such file or directory: {str(out)!r}")
+
+    def test_out_directory_fails_before_running(self, tmp_path, capsys, steps):
+        config = tmp_path / "cmp.json"
+        config.write_text(json.dumps({"policy": "tc1", "traces": [
+            {"pattern": SEQ, "length": 2000}]}))
+        out = tmp_path / "reports"
+        out.mkdir()
+        assert run_cli("compare", "--config", str(config), "--out", str(out)) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"arsenal-sim: error: [Errno 21] Is a directory: {str(out)!r}"]
+        assert list(out.iterdir()) == []
+        assert steps[0] == 0
 
 
 @pytest.fixture

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arsenal_sim.traces import (
-    AccessEvent,
     PatternSpec,
     TraceParseError,
     check_address_range,
@@ -22,28 +21,44 @@ class TestParseTrace:
     def test_single_record(self):
         events = list(parse_trace(["0x400 0x1000 R"]))
         assert len(events) == 1
-        ev = events[0]
-        assert ev.pc == 0x400
-        assert ev.addr == 0x1000
-        assert not ev.is_write
-        assert ev.seq == 0
+        pc, addr, is_write, seq = events[0]
+        assert pc == 0x400
+        assert addr == 0x1000
+        assert not is_write
+        assert seq == 0
+        assert type(events[0]) is tuple
 
     def test_comments_and_blanks_skipped(self):
         events = list(parse_trace(["# header", "", "0x400 0x1000 W"]))
         assert len(events) == 1
-        assert events[0].seq == 0
-        assert events[0].is_write
+        _, _, is_write, seq = events[0]
+        assert seq == 0
+        assert is_write
 
     def test_seq_strictly_increments(self):
         lines = [f"0x400 0x{i * 64:x} R" for i in range(100)]
         events = list(parse_trace(lines))
-        assert [e.seq for e in events] == list(range(100))
+        assert [seq for _, _, _, seq in events] == list(range(100))
 
     def test_bad_hex_names_line(self):
         with pytest.raises(TraceParseError) as err:
             list(parse_trace(["0x400 zzz R"]))
         assert err.value.line_number == 1
         assert "line 1" in str(err.value)
+
+    @pytest.mark.parametrize("line", [
+        "0x4_00 0x1000 R",
+        "0x400 0x1_000 R",
+        "+0x400 0x1000 R",
+        "0x400 +0x1000 R",
+    ])
+    def test_separator_or_plus_sign_is_a_bad_hex_field(self, line):
+        with pytest.raises(TraceParseError, match="line 2: bad hex field") as err:
+            list(parse_trace(["0x400 0x1000 R", line]))
+        assert err.value.line_number == 2
+
+    def test_prefix_is_optional_and_op_case_insensitive(self):
+        assert list(parse_trace(["400 1000 r"])) == [(0x400, 0x1000, False, 0)]
 
     def test_bad_field_count_names_line(self):
         with pytest.raises(TraceParseError) as err:
@@ -72,7 +87,7 @@ class TestParseTrace:
     def test_widest_fields_round_trip(self):
         top = (1 << 64) - 1
         events = list(parse_trace([f"0x{top:x} 0x{top:x} W"]))
-        assert (events[0].pc, events[0].addr) == (top, top)
+        assert events[0][:2] == (top, top)
         buf = io.StringIO()
         write_trace(events, buf)
         buf.seek(0)
@@ -92,14 +107,14 @@ class TestGenerate:
     def test_sequential_lines(self):
         spec = PatternSpec(kind="sequential", start=0, seed=1)
         events = list(generate(spec, 4))
-        assert [e.addr // 64 for e in events] == [0, 1, 2, 3]
-        assert [e.seq for e in events] == [0, 1, 2, 3]
+        assert [addr // 64 for _, addr, _, _ in events] == [0, 1, 2, 3]
+        assert [seq for _, _, _, seq in events] == [0, 1, 2, 3]
 
     def test_stride_lines(self):
         spec = PatternSpec(kind="stride", start=0, stride=0x100, seed=1)
         events = list(generate(spec, 3))
-        assert [e.addr // 64 for e in events] == [0, 4, 8]
-        assert len({e.pc for e in events}) == 1  # stride keeps one pc
+        assert [addr // 64 for _, addr, _, _ in events] == [0, 4, 8]
+        assert len({pc for pc, _, _, _ in events}) == 1  # stride keeps one pc
 
     def test_determinism(self):
         spec = PatternSpec(kind="random_working_set", working_set_lines=512, seed=7)
@@ -121,8 +136,8 @@ class TestGenerate:
                    {"pc": 0x20, "start": 0x10000, "delta": 128}]
         spec = PatternSpec(kind="pc_delta", streams=streams, seed=1)
         events = list(generate(spec, 6))
-        assert [e.pc for e in events] == [0x10, 0x20, 0x10, 0x20, 0x10, 0x20]
-        assert [e.addr for e in events] == [0, 0x10000, 64, 0x10080, 128, 0x10100]
+        assert [pc for pc, _, _, _ in events] == [0x10, 0x20, 0x10, 0x20, 0x10, 0x20]
+        assert [addr for _, addr, _, _ in events] == [0, 0x10000, 64, 0x10080, 128, 0x10100]
 
     def test_phased_concatenates(self):
         spec = PatternSpec(kind="phased", segments=[
@@ -130,9 +145,9 @@ class TestGenerate:
             {"spec": {"kind": "stride", "start": 0x100000, "stride": 128}, "length": 5},
         ], seed=3)
         events = list(generate(spec, 10))
-        assert [e.seq for e in events] == list(range(10))
-        assert [e.addr for e in events[:5]] == [0, 64, 128, 192, 256]
-        assert events[5].addr == 0x100000
+        assert [seq for _, _, _, seq in events] == list(range(10))
+        assert [addr for _, addr, _, _ in events[:5]] == [0, 64, 128, 192, 256]
+        assert events[5][1] == 0x100000
 
     def test_phased_cycles_segments(self):
         spec = PatternSpec(kind="phased", segments=[
@@ -141,7 +156,7 @@ class TestGenerate:
         ], seed=3)
         events = list(generate(spec, 12))
         assert len(events) == 12
-        assert events[6].addr == 0  # third segment restarts the first spec
+        assert events[6][1] == 0  # third segment restarts the first spec
 
     def test_every_kind_produces_events(self):
         specs = [
@@ -160,8 +175,8 @@ class TestGenerate:
     def test_working_set_stays_bounded(self):
         spec = PatternSpec(kind="random_working_set", start=0,
                            working_set_lines=64, seed=2)
-        for ev in generate(spec, 2000):
-            assert 0 <= ev.addr // 64 < 64
+        for _, addr, _, _ in generate(spec, 2000):
+            assert 0 <= addr // 64 < 64
 
     def test_phase_boundaries(self):
         spec = PatternSpec(kind="phased", segments=[
@@ -247,7 +262,7 @@ def randrange_flat(spec, length):
     if spec.kind == "sequential":
         addr = spec.start
         for i in range(length):
-            yield AccessEvent(pool[rng.randrange(len(pool))], addr, False, i)
+            yield pool[rng.randrange(len(pool))], addr, False, i
             addr += spec.line_size
         return
     base_line = spec.start // spec.line_size
@@ -255,8 +270,7 @@ def randrange_flat(spec, length):
     for i in range(length):
         line = base_line + rng.randrange(spec.working_set_lines)
         is_write = wf > 0.0 and rng.random() < wf
-        yield AccessEvent(pool[rng.randrange(len(pool))], line * spec.line_size,
-                          is_write, i)
+        yield pool[rng.randrange(len(pool))], line * spec.line_size, is_write, i
 
 
 class TestInlinedDraws:
@@ -276,7 +290,7 @@ class TestInlinedDraws:
                            write_fraction=write_fraction, seed=seed)
         events = list(generate(spec, length))
         assert events == list(randrange_flat(spec, length))
-        assert all(type(event) is AccessEvent for event in events)
+        assert all(type(event) is tuple for event in events)
 
 
 TOP = 1 << 64
@@ -301,7 +315,7 @@ flat_specs = st.one_of(
 
 
 def leaves_range(spec, length):
-    return any((ev.pc | ev.addr) >> 64 for ev in generate(spec, length))
+    return any((pc | addr) >> 64 for pc, addr, _, _ in generate(spec, length))
 
 
 def refused(spec, length):
@@ -346,8 +360,8 @@ class TestAddressRange:
         finally:
             tracemalloc.stop()
         assert len(events) == 10
-        assert all(e.pc % 8 == spec.pc % 8 and
-                   spec.pc <= e.pc < spec.pc + 8 * 10 ** 6 for e in events)
+        assert all(pc % 8 == spec.pc % 8 and
+                   spec.pc <= pc < spec.pc + 8 * 10 ** 6 for pc, _, _, _ in events)
         assert peak < 1 << 20
 
     @pytest.mark.parametrize("start,working_set_lines,ok", [
