@@ -90,16 +90,15 @@ class BloomFilter:
       is a superset test.
     - ``false_positive_probes`` counts True answers for non-members, which
       only the bit table gives; ``clear`` keeps the count.
-    - Each element's k positions are memoised as a tuple. ``clear`` keeps
-      the memo as the previous generation, and a memo miss takes the
-      tuple from there before it hashes, so the shadow streams' sliding
-      windows are not rehashed phase after phase. The memo holds at most
-      the distinct elements of two selection phases.
+    - Each element's k positions are memoised as a tuple, which depends
+      only on the element and the seeds. ``clear`` keeps the memo, so the
+      shadow streams' sliding windows are not rehashed phase after phase.
+      The memo empties before it would grow past the projected capacity.
     """
 
     __slots__ = ("params", "inserted_count", "false_positive_probes", "_m", "_k",
                  "_seed_a", "_seed_b", "_set_bits", "members", "_queued",
-                 "_positions", "_previous")
+                 "_positions")
 
     def __init__(self, capacity: int, fpp: float, seed: int = 0):
         self.params = params = BloomParams.create(capacity, fpp, seed)
@@ -113,7 +112,6 @@ class BloomFilter:
         self.inserted_count = 0
         self.false_positive_probes = 0
         self._positions: dict[int, tuple[int, ...]] = {}
-        self._previous: dict[int, tuple[int, ...]] = {}
 
     @property
     def bits(self) -> bytearray:
@@ -133,22 +131,16 @@ class BloomFilter:
         a = h1 % m
         b = h2 % m or m
         pos = tuple([p % m for p in range(a, a + self._k * b, b)])
-        self._positions[element] = pos
-        return pos
-
-    def _recall(self, element: int) -> tuple[int, ...]:
-        """Positions missing from this phase's memo: the previous phase's
-        tuple if it has one, else fresh ones."""
-        pos = self._previous.pop(element, None)
-        if pos is None:
-            return self._hash(element)
-        self._positions[element] = pos
+        memo = self._positions
+        if len(memo) >= self.params.projected_capacity:
+            memo.clear()
+        memo[element] = pos
         return pos
 
     def _set_queued(self) -> None:
         get = self._positions.get
-        recall = self._recall
-        self._set_bits.update(*[get(x) or recall(x) for x in self._queued])
+        hash_ = self._hash
+        self._set_bits.update(*[get(x) or hash_(x) for x in self._queued])
         self._queued.clear()
 
     def insert(self, element: int) -> None:
@@ -166,19 +158,17 @@ class BloomFilter:
         if self._queued:
             self._set_queued()
         answer = self._set_bits.issuperset(
-            self._positions.get(element) or self._recall(element))
+            self._positions.get(element) or self._hash(element))
         self.false_positive_probes += answer
         return answer
 
     def clear(self) -> None:
         """Reset to the freshly-constructed state (same params and seed)
-        but for ``false_positive_probes``; this phase's memo becomes the
-        previous one."""
+        but for ``false_positive_probes`` and the position memo, which
+        ``_hash`` empties only once it holds the projected capacity."""
         self._set_bits.clear()
         self.members.clear()
         self._queued.clear()
-        self._previous = self._positions
-        self._positions = {}
         self.inserted_count = 0
 
 

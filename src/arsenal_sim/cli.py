@@ -28,11 +28,13 @@ from .traces import SEED_RANGE, check_fields, write_trace
 
 
 def _json_value(text: str, where: str):
-    """``text`` parsed as JSON; nesting too deep to parse is an input error."""
+    """``text`` parsed as JSON; bad JSON is an input error naming ``where``."""
     try:
         return json.loads(text)
     except RecursionError:
         raise ValueError(f"{where}: JSON nested too deeply") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _pattern_fields(text: str) -> dict:
@@ -61,8 +63,12 @@ def _load_config(args, flags: tuple) -> dict:
     """The --config file's object, each of ``flags`` given set over its key."""
     data = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            data = _json_value(fh.read(), args.config)
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{args.config}: {exc}") from None
+        data = _json_value(text, args.config)
         if not isinstance(data, dict):
             raise ValueError(f"{args.config}: a configuration must be a JSON object")
     data.update((key, getattr(args, key)) for key in flags

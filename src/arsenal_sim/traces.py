@@ -1,10 +1,10 @@
 """Trace ingestion and synthetic access-pattern generation.
 
 Trace files are plain text, one demand access per line: ``PC ADDR R|W``
-with hex fields, 0x prefix optional; ``#`` starts a comment line. Synthetic
-patterns cover the access shapes the simulator cares about: sequential
-streams, fixed strides, random working sets, interleaved per-PC delta
-streams, and phased concatenations of the above. Generation is fully
+with ASCII hex fields, 0x prefix optional; ``#`` starts a comment line.
+Synthetic patterns cover the access shapes the simulator cares about:
+sequential streams, fixed strides, random working sets, interleaved per-PC
+delta streams, and phased concatenations of the above. Generation is fully
 deterministic given the pattern spec and its seed.
 """
 
@@ -42,10 +42,11 @@ def parse_trace(stream: Iterable[str]) -> Iterator[AccessEvent]:
         parts = line.split()
         if len(parts) != 3:
             raise TraceParseError(line_number, f"expected 'PC ADDR R|W', got {line!r}")
-        # int() takes a sign and "_" separators, which no trace writer emits
+        # int() takes a sign, "_" separators and non-ASCII digits, which no
+        # trace writer emits
         hex_text = parts[0] + parts[1]
         try:
-            if "_" in hex_text or "+" in hex_text:
+            if "_" in hex_text or "+" in hex_text or not hex_text.isascii():
                 raise ValueError
             pc = int(parts[0], 16)
             addr = int(parts[1], 16)
@@ -57,6 +58,8 @@ def parse_trace(stream: Iterable[str]) -> Iterator[AccessEvent]:
         op = parts[2].upper()
         if op not in ("R", "W"):
             raise TraceParseError(line_number, f"op must be R or W, got {parts[2]!r}")
+        if not raw.isascii():  # strip() and split() take Unicode spaces too
+            raise TraceParseError(line_number, f"expected 'PC ADDR R|W', got {raw!r}")
         yield pc, addr, op == "W", seq
         seq += 1
 

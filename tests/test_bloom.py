@@ -1,5 +1,6 @@
 import math
 import random
+from functools import partial
 
 import pytest
 
@@ -181,21 +182,26 @@ class TestLaziness:
         assert any(bf.bits)
         assert bf.hashed == [4, 5]
 
-    def test_memo_lasts_one_more_phase(self):
+    def test_memo_outlives_clear(self):
         bf = CountingBloom(100, 0.01, seed=1)
         bf.insert(1)
         assert not bf.query(99)
-        bf.clear()
+        for _ in range(3):
+            bf.clear()
         bf.insert(1)
         assert not bf.query(99)
-        assert bf.hashed == [1, 99]   # both from the previous phase's memo
+        assert bf.hashed == [1, 99]   # both from the memo
 
-        bf.clear()
-        bf.clear()   # no touches in between: the memo holds nothing
-        assert not bf._positions and not bf._previous
-        bf.insert(1)
-        assert not bf.query(99)
-        assert bf.hashed == [1, 99, 1, 99]
+    def test_memo_empties_at_the_projected_capacity(self):
+        bf = CountingBloom(4, 0.01, seed=1)
+        steps = [*(partial(bf.insert, x) for x in range(1, 5)),
+                 partial(bf.query, 99), bf.clear, partial(bf.insert, 1),
+                 partial(bf.query, 98)]
+        for step in steps:
+            step()
+            assert len(bf._positions) <= 4   # the projected capacity
+        # 99 found the memo full: it emptied, and 1 is hashed again
+        assert bf.hashed == [1, 2, 3, 4, 99, 1, 98]
 
 
 class TestExactAndPaired:

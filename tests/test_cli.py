@@ -989,3 +989,25 @@ class TestDeeplyNestedJson:
         assert run_cli(verb, "--pattern", '{"kind": ' + self.NESTED,
                        "--length", "5", "--out", str(out)) == 1
         failed_before_running(capsys, steps, out, "JSON nested too deeply")
+
+
+class TestUnreadableJsonNamesItsSource:
+    @pytest.mark.parametrize("verb", BOTH)
+    @pytest.mark.parametrize("content, message", [
+        (b'{"traces": [}', "Expecting value: line 1 column 13"),
+        (b'{"engine": "none", "x\xff": 1}',
+         "'utf-8' codec can't decode byte 0xff in position 21"),
+    ], ids=["bad-json", "not-utf8"])
+    def test_config_file(self, tmp_path, capsys, steps, verb, content, message):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        out = tmp_path / "report.out"
+        assert run_cli(verb, "--config", str(path), "--out", str(out)) == 1
+        failed_before_running(capsys, steps, out, f"error: {path}: {message}")
+
+    def test_inline_pattern(self, tmp_path, capsys, steps):
+        out = tmp_path / "report.out"
+        assert run_cli("run", "--pattern", '{"kind": "sequential",}',
+                       "--out", str(out)) == 1
+        failed_before_running(capsys, steps, out,
+                              "error: --pattern: Expecting property name")

@@ -57,6 +57,21 @@ class TestParseTrace:
             list(parse_trace(["0x400 0x1000 R", line]))
         assert err.value.line_number == 2
 
+    @pytest.mark.parametrize("line, message", [
+        ("\uff10x\uff14\uff10\uff10 0x1000 R", "bad hex field"),
+        ("0x400 \u0664\u0660\u0660 R", "bad hex field"),
+        ("0x400\u00a00x1000 R", "expected 'PC ADDR R|W'"),
+        ("0x400\u20030x1000 R", "expected 'PC ADDR R|W'"),
+        ("0x400\u30000x1000 R", "expected 'PC ADDR R|W'"),
+        ("\u30000x400 0x1000 R", "expected 'PC ADDR R|W'"),
+        ("0x400 0x1000 R\u00a0", "expected 'PC ADDR R|W'"),
+    ], ids=["fullwidth-digits", "arabic-indic-digits", "no-break-space",
+            "em-space", "ideographic-space", "leading-space", "trailing-space"])
+    def test_a_non_ascii_character_is_refused(self, line, message):
+        with pytest.raises(TraceParseError, match=f"line 2: {message}") as err:
+            list(parse_trace(["0x400 0x1000 R", line]))
+        assert err.value.line_number == 2
+
     def test_prefix_is_optional_and_op_case_insensitive(self):
         assert list(parse_trace(["400 1000 r"])) == [(0x400, 0x1000, False, 0)]
 
