@@ -85,7 +85,7 @@ def _checked_sink(data: dict) -> tuple:
         raise ValueError(f"unknown format: {fmt!r}")
     out = data.get("out")
     if out not in (None, "-"):
-        folder = os.path.dirname(out) or "."
+        folder = os.path.dirname(out) or ("." if out else "")
         if os.path.isdir(out) or not os.path.isdir(folder):
             code = (errno.EISDIR if os.path.isdir(out) else
                     errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT)

@@ -93,8 +93,9 @@ class ExperimentConfig:
     """One experiment: a trace source, a cache, and exactly one engine. Each
     part is checked once, when built: the cache and pattern before this, and
     ``arsenal`` here, into ``arsenal_config`` (seeded from ``seed`` unless
-    ``arsenal`` sets ``master_seed``). A pattern runs ``length`` events,
-    DEFAULT_LENGTH if None; a trace file is read whole and takes none."""
+    ``arsenal`` sets ``master_seed``), then a trace file, by opening it. A
+    pattern runs ``length`` events, DEFAULT_LENGTH if None; a trace file is
+    read whole and takes none."""
     engine: str = ENGINE_NONE
     trace_file: Optional[str] = None
     pattern: Optional[PatternSpec] = None
@@ -122,6 +123,8 @@ class ExperimentConfig:
         self.arsenal_config = ArsenalConfig(
             **{"master_seed": self.seed or ArsenalConfig.master_seed, **self.arsenal})
         _check_component_params(self.component_params)
+        if self.trace_file is not None:
+            open(self.trace_file, encoding="utf-8").close()
 
     def events(self) -> Iterable[AccessEvent]:
         """One pass over the trace; a trace file is read as it is consumed."""
@@ -293,9 +296,6 @@ def compare_engines(traces: list[dict], policy: str = TEST_CASE_2,
             label=trace.get("label", f"trace-{index}"),
             **shared,
         ))
-    for cfg in configs:  # so a missing file stops compare before any simulation
-        if cfg.trace_file is not None:
-            open(cfg.trace_file, encoding="utf-8").close()
 
     per_trace = []
     for cfg in configs:

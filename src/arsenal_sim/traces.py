@@ -1,7 +1,8 @@
 """Trace ingestion and synthetic access-pattern generation.
 
 Trace files are plain text, one demand access per line: ``PC ADDR R|W``
-with ASCII hex fields, 0x prefix optional; ``#`` starts a comment line.
+with ASCII hex fields, 0x prefix optional, separated by spaces or tabs;
+``#`` starts a comment line. A malformed line is a ValueError naming it.
 Synthetic patterns cover the access shapes the simulator cares about:
 sequential streams, fixed strides, random working sets, interleaved per-PC
 delta streams, and phased concatenations of the above. Generation is fully
@@ -26,12 +27,6 @@ PATTERN_KINDS = (SEQUENTIAL, STRIDE, RANDOM_WORKING_SET, PC_DELTA, PHASED)
 AccessEvent = tuple[int, int, bool, int]
 
 
-class TraceParseError(ValueError):
-    def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
-
-
 def parse_trace(stream: Iterable[str]) -> Iterator[AccessEvent]:
     """Yield events from a text trace, assigning seq 0, 1, 2, ..."""
     seq = 0
@@ -41,7 +36,7 @@ def parse_trace(stream: Iterable[str]) -> Iterator[AccessEvent]:
             continue
         parts = line.split()
         if len(parts) != 3:
-            raise TraceParseError(line_number, f"expected 'PC ADDR R|W', got {line!r}")
+            raise ValueError(f"line {line_number}: expected 'PC ADDR R|W', got {line!r}")
         # int() takes a sign, "_" separators and non-ASCII digits, which no
         # trace writer emits
         hex_text = parts[0] + parts[1]
@@ -51,15 +46,18 @@ def parse_trace(stream: Iterable[str]) -> Iterator[AccessEvent]:
             pc = int(parts[0], 16)
             addr = int(parts[1], 16)
         except ValueError:
-            raise TraceParseError(line_number, f"bad hex field in {line!r}") from None
+            raise ValueError(f"line {line_number}: bad hex field in {line!r}") from None
         if (pc | addr) >> 64:  # nonzero when either is negative or >= 2**64
-            raise TraceParseError(line_number,
-                                  f"PC or ADDR outside [0, 2**64) in {line!r}")
+            raise ValueError(f"line {line_number}: PC or ADDR outside [0, 2**64) "
+                             f"in {line!r}")
         op = parts[2].upper()
         if op not in ("R", "W"):
-            raise TraceParseError(line_number, f"op must be R or W, got {parts[2]!r}")
-        if not raw.isascii():  # strip() and split() take Unicode spaces too
-            raise TraceParseError(line_number, f"expected 'PC ADDR R|W', got {raw!r}")
+            raise ValueError(f"line {line_number}: op must be R or W, got {parts[2]!r}")
+        # strip() and split() take Unicode spaces and ASCII control characters
+        # too; only a space or a tab separates fields
+        if not raw.isascii() or not (line.isprintable()
+                                     or line.replace("\t", " ").isprintable()):
+            raise ValueError(f"line {line_number}: expected 'PC ADDR R|W', got {raw!r}")
         yield pc, addr, op == "W", seq
         seq += 1
 
@@ -72,13 +70,10 @@ def stream_trace_file(path: str) -> Iterator[AccessEvent]:
         yield from parse_trace(fh)
 
 
-def write_trace(events: Iterable[AccessEvent], sink) -> int:
-    """Write events in the text trace format; returns the record count."""
-    n = 0
+def write_trace(events: Iterable[AccessEvent], sink) -> None:
+    """Write events in the text trace format."""
     for pc, addr, is_write, _ in events:
         sink.write(f"0x{pc:x} 0x{addr:x} {'W' if is_write else 'R'}\n")
-        n += 1
-    return n
 
 
 def reject_unknown(what: str, data, known) -> None:

@@ -654,6 +654,18 @@ class TestRun:
     def test_missing_trace_file_fails_nonzero(self):
         assert run_cli("run", "--trace", "/no/such/file", "--engine", "none") == 1
 
+    def test_unreadable_trace_file_fails_before_building_an_engine(
+            self, tmp_path, capsys, monkeypatch):
+        built = []
+        simulation = harness.Simulation
+        monkeypatch.setattr(harness, "Simulation",
+                            lambda *a: built.append(a) or simulation(*a))
+        missing = tmp_path / "missing.trace"
+        assert run_cli("run", "--trace", str(missing), "--engine", "arsenal-tc2") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"arsenal-sim: error: [Errno 2] No such file or directory: {str(missing)!r}"]
+        assert built == []
+
     def test_no_trace_source_fails_nonzero(self):
         assert run_cli("run", "--engine", "none") == 1
 
@@ -710,6 +722,14 @@ class TestRun:
         assert capsys.readouterr().err.splitlines() == [
             f"arsenal-sim: error: [Errno 21] Is a directory: {str(out)!r}"]
         assert list(out.iterdir()) == []
+        assert steps[0] == 0
+
+    def test_empty_out_path_fails_before_running(self, capsys, steps):
+        # "" names no file, and no folder to hold one
+        assert run_cli("run", "--pattern", "sequential", "--length", "2000",
+                       "--engine", "next-line", "--out", "") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "arsenal-sim: error: [Errno 2] No such file or directory: ''"]
         assert steps[0] == 0
 
 
@@ -797,6 +817,15 @@ class TestCompare:
         assert capsys.readouterr().err.splitlines() == [
             f"arsenal-sim: error: [Errno 21] Is a directory: {str(out)!r}"]
         assert list(out.iterdir()) == []
+        assert steps[0] == 0
+
+    def test_empty_out_path_fails_before_running(self, tmp_path, capsys, steps):
+        config = tmp_path / "cmp.json"
+        config.write_text(json.dumps({"policy": "tc1", "out": "", "traces": [
+            {"pattern": SEQ, "length": 500}]}))
+        assert run_cli("compare", "--config", str(config)) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "arsenal-sim: error: [Errno 2] No such file or directory: ''"]
         assert steps[0] == 0
 
 

@@ -175,9 +175,8 @@ class TestTraceFileInput(object):
         assert report["experiment"]["trace"] == {"file": str(path)}
 
     def test_missing_file_raises(self):
-        cfg = ExperimentConfig(engine="none", trace_file="/nonexistent/x.trace")
         with pytest.raises(OSError):
-            run_experiment(cfg)
+            ExperimentConfig(engine="none", trace_file="/nonexistent/x.trace")
 
 
 class TestCompare:
